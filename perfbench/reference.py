@@ -1,6 +1,6 @@
 """Reference figures for the README; not part of the measured benchmark.
 
-    python3 perfbench/reference.py [--seed 1]
+    python3 perfbench/reference.py
 
 Run it from the repository root.  Prints:
 
@@ -15,7 +15,6 @@ Run it from the repository root.  Prints:
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import os
@@ -30,6 +29,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path[:0] = [os.path.join(ROOT, "src"), HERE]
 
+SEED = 1
 SWEEPS = {
     "tall-cut": (38, 75, 150, 300),
     "deep-session": (12, 25, 50, 100),
@@ -37,14 +37,14 @@ SWEEPS = {
 }
 
 
-def median_op_ms(name: str, size: int, seed: int, reps: int = 5) -> float:
+def median_op_ms(name: str, size: int, reps: int = 5) -> float:
     import workloads as w
     from lmrl.cutelim import cut2
     from lmrl.derivation import DId, check
     from lmrl.parser import parse_problem
     from lmrl.processes import check_subject_reduction, normalize
 
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     times = []
     for _ in range(reps):
         if name == "tall-cut":
@@ -108,14 +108,11 @@ def reference_loop(windows: int = 30) -> list[float]:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args()
     os.makedirs(os.path.join(ROOT, ".bench_build"), exist_ok=True)
 
     print("growth (median of 5 fresh inputs per size; slope between the two largest):")
     for name, sizes in SWEEPS.items():
-        ms = [median_op_ms(name, n, args.seed) for n in sizes]
+        ms = [median_op_ms(name, n) for n in sizes]
         slope = math.log(ms[-1] / ms[-2]) / math.log(sizes[-1] / sizes[-2])
         points = ", ".join(f"n={n}: {t:.1f} ms" for n, t in zip(sizes, ms))
         print(f"  {name}: {points}; exponent {slope:.2f}")

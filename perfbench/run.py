@@ -88,9 +88,7 @@ def run(args) -> dict:
     for need in ("src/lmrl", "corpus"):
         if not os.path.isdir(os.path.join(ROOT, need)):
             raise BenchError(f"no {need}/ next to the benchmark: run from a full checkout")
-    extra = []
-    if args.corrupt:
-        extra.append("--corrupt")
+    extra = ["--spoil", args.spoil] if args.spoil else []
     if args.trace:
         res = start_worker(args, deadline, *extra)
         print(
@@ -130,9 +128,9 @@ def main() -> int:
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument(
-        "--corrupt",
-        action="store_true",
-        help="spoil one expected value per check (every op must then fail)",
+        "--spoil",
+        metavar="CHECK",
+        help="spoil the expected value of this check (the ops that reach it must then fail)",
     )
     args = ap.parse_args()
     try:

@@ -58,6 +58,7 @@ class Tracer:
         self.total_ns = [0] * len(SPANS)
         self.active = False
         self._stack: list[int] = []
+        self._patched: list[tuple] = []  # (namespace, name, original)
 
     def install(self, extra_modules=()):
         """Wrap every target in its module, in every module that imported
@@ -72,14 +73,24 @@ class Tracer:
                 cls = getattr(mod, cls_name)
                 for owner in (cls, *_subclasses(cls)):
                     if meth in owner.__dict__:
-                        setattr(owner, meth, self._wrap(owner.__dict__[meth], idx))
+                        self._patch(owner, meth, self._wrap(owner.__dict__[meth], idx))
                 continue
             fn = getattr(mod, attr)
             wrapped = self._wrap(fn, idx)
             for ns in namespaces:
                 for name, value in list(vars(ns).items()):
                     if value is fn:
-                        setattr(ns, name, wrapped)
+                        self._patch(ns, name, wrapped)
+
+    def uninstall(self):
+        """Put every original back, so later calls run the untraced program."""
+        for ns, name, original in reversed(self._patched):
+            setattr(ns, name, original)
+        self._patched.clear()
+
+    def _patch(self, ns, name, new):
+        self._patched.append((ns, name, vars(ns)[name]))
+        setattr(ns, name, new)
 
     def _wrap(self, fn, idx):
         tracer, stack, clock = self, self._stack, time.perf_counter_ns

@@ -31,13 +31,13 @@ def main() -> int:
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--t0", type=float, required=True)
     ap.add_argument("--setup-only", action="store_true")
-    ap.add_argument("--corrupt", action="store_true")
+    ap.add_argument("--spoil", help="the check whose expected value is spoiled")
     args = ap.parse_args()
 
     import workloads
 
-    wl = workloads.WORKLOADS[args.workload](args.seed, corrupt=args.corrupt)
-    ops = wl.round()
+    wl = workloads.WORKLOADS[args.workload](args.seed, spoil=args.spoil)
+    ops = wl.ops
     setup_s = time.perf_counter() - args.t0
     if args.setup_only:
         print(json.dumps({"setup_s": setup_s}))
@@ -58,6 +58,9 @@ def main() -> int:
     result["setup_s"] = setup_s
     result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if tracer is not None:
+        # the same ops again with the originals restored, after the traced
+        # pass so that the spans come from a first pass, as in an untraced run
+        tracer.uninstall()
         plain = measure(wl, ops, rounds, None, verify=False)
         result["trace_overhead"] = sum(result.pop("times")) / sum(plain["times"])
         result["spans"] = tracer.metrics()

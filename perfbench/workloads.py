@@ -7,8 +7,10 @@ Verification reads role sets only through membership (``r in rs``) and
 formulas only through their constructor fields, so it does not lean on
 ``lmrl.roles`` or on ``Sequent.__eq__``.
 
-``corrupt=True`` spoils one expected value in every verification, which
-must make every operation count as failed.
+Every verification is a list of named checks, each comparing what the
+program gave with what the benchmark expects.  ``spoil=NAME`` replaces
+that one check's expected value with one that nothing equals, so the
+operations that reach the check must count as failed.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from lmrl.derivation import (
 )
 from lmrl.parser import parse_formula_text, parse_problem
 from lmrl.printer import format_process
-from lmrl.processes import check_subject_reduction, normalize, typecheck
+from lmrl.processes import ProcessTypeError, check_subject_reduction, normalize, typecheck
 from lmrl.syntax import Atom, One
 
 # ---------------------------------------------------------------------------
@@ -85,8 +87,23 @@ def multiset(items, n: int) -> Counter:
     return Counter(item_key(f, n) for f in items)
 
 
-def corrupted(expect: Counter) -> Counter:
-    return expect + Counter({((), ("atom", "corrupt", ())): 1})
+SPOILED = object()  # an expected value that nothing compares equal to
+
+
+class Workload:
+    """Checks by name; ``ops`` is one round, the same on every commit."""
+
+    name: str
+    checks: tuple[str, ...] = ()
+    ops: list
+
+    def __init__(self, spoil: str | None):
+        if spoil is not None and spoil not in self.checks:
+            raise ValueError(f"{self.name} has no check {spoil!r}: {', '.join(self.checks)}")
+        self.spoil = spoil
+
+    def expect(self, check: str, got, want) -> bool:
+        return got == (SPOILED if check == self.spoil else want)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +203,12 @@ def small_world(n, level_cap=60, binary_cap=12):
 
     The caps are those of the acceptance suite's exhaustive world: each
     generation keeps its first ``level_cap`` members and two-premise rules
-    draw operands from the first ``binary_cap`` derivations.
+    draw operands from the first ``binary_cap`` derivations.  This builds
+    the same world as ``tests/worlds.py`` with those caps, but is a frozen
+    copy on purpose: the benchmark's inputs must not change when the tests
+    change, and it compares occurrences with its own keys, not with
+    ``formula_key``, ``Sequent.__eq__`` or ``lmrl.roles``, whose behaviour a
+    change under measurement may alter.
     """
     base = rl.finite_base(n)
     lvl1 = _leaves(base, n)
@@ -216,7 +238,7 @@ def spill_pairs(world, n):
                     yield d1, i, d2, j
 
 
-class SmallWorlds:
+class SmallWorlds(Workload):
     """cut2_spill (and cut2 where complementary) over the criterion-2 world.
 
     One operation is a batch of ``batch`` consecutive pairs of the shuffled
@@ -226,11 +248,12 @@ class SmallWorlds:
     """
 
     name = "small-worlds"
+    checks = ("spill-conclusion", "cut2-conclusion")
     batch = 20
     round_s = 12.8  # one round is the whole world
 
-    def __init__(self, seed: int, corrupt: bool = False):
-        self.corrupt = corrupt
+    def __init__(self, seed: int, spoil: str | None = None):
+        super().__init__(spoil)
         pairs = []
         # own keys of the world's occurrences, by identity (the world outlives
         # every output, so an id here always names the same object)
@@ -258,9 +281,6 @@ class SmallWorlds:
             out[hit[1] if hit is not None and hit[0] is f else item_key(f, n)] += 1
         return out
 
-    def round(self):
-        return self.ops
-
     def prepare(self, op):
         return op
 
@@ -282,11 +302,11 @@ class SmallWorlds:
         rest = Counter(k1[:i] + k1[i + 1 :] + k2[:j] + k2[j + 1 :])
         shared = tuple(r for r in k1[i][0] if r in k2[j][0])
         expect = rest + Counter([(shared, k1[i][1])])
-        if self.corrupt:
-            expect = corrupted(expect)
-        if self._multiset(spilled.items, n) != expect:
+        if not self.expect("spill-conclusion", self._multiset(spilled.items, n), expect):
             return False
-        return not complementary or self._multiset(cut.items, n) == rest
+        return not complementary or self.expect(
+            "cut2-conclusion", self._multiset(cut.items, n), rest
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -340,21 +360,19 @@ def build_tower(spec):
     return d
 
 
-class TallCut:
+class TallCut(Workload):
     """cut2 then check on a fresh tower of fixed height against an identity."""
 
     name = "tall-cut"
+    checks = ("tower-height", "conclusion")
     height = 150
     round_ops = 120
     round_s = 5.0
 
-    def __init__(self, seed: int, corrupt: bool = False):
-        self.corrupt = corrupt
+    def __init__(self, seed: int, spoil: str | None = None):
+        super().__init__(spoil)
         rng = random.Random(seed)
         self.ops = [tower_spec(rng, self.height) for _ in range(self.round_ops)]
-
-    def round(self):
-        return self.ops
 
     def prepare(self, spec):
         return build_tower(spec), DId(ATOMS[0], (rl.roleset(B2, [0]), rl.roleset(B2, [1])))
@@ -366,9 +384,9 @@ class TallCut:
     def verify(self, spec, arg, out):
         tower, ident = arg
         expect = multiset(tower.concl.items[1:] + ident.concl.items[:1], 2)
-        if self.corrupt:
-            expect = corrupted(expect)
-        return _height(tower) == self.height and multiset(out.items, 2) == expect
+        return self.expect("tower-height", _height(tower), self.height) and self.expect(
+            "conclusion", multiset(out.items, 2), expect
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -416,21 +434,19 @@ def server_fanout(rng: random.Random, clients: int):
     return f"base 2\n{ENV}\nproc new {x}: ![1] one[1] .( {client} | {server} )\n", cont
 
 
-class DeepSession:
+class DeepSession(Workload):
     """check_subject_reduction on a fresh session of fixed selection depth."""
 
     name = "deep-session"
+    checks = ("ok", "exhausted", "cut-free", "steps", "normal-form")
     depth = 25
     round_ops = 100
     round_s = 3.7
 
-    def __init__(self, seed: int, corrupt: bool = False):
-        self.corrupt = corrupt
+    def __init__(self, seed: int, spoil: str | None = None):
+        super().__init__(spoil)
         rng = random.Random(seed)
         self.ops = [deep_session(rng, self.depth) for _ in range(self.round_ops)]
-
-    def round(self):
-        return self.ops
 
     def prepare(self, op):
         pf = parse_problem(op[0])
@@ -441,31 +457,28 @@ class DeepSession:
         return check_subject_reduction(p, env, 10 * self.depth)
 
     def verify(self, op, arg, rep):
-        steps = self.depth + 1 + self.corrupt
         return (
-            rep.ok
-            and not rep.exhausted
-            and rep.cut_free
-            and rep.steps == steps
-            and format_process(rep.normal_form) == op[1]
+            self.expect("ok", rep.ok, True)
+            and self.expect("exhausted", rep.exhausted, False)
+            and self.expect("cut-free", rep.cut_free, True)
+            and self.expect("steps", rep.steps, self.depth + 1)
+            and self.expect("normal-form", format_process(rep.normal_form), op[1])
         )
 
 
-class ServerFanout:
+class ServerFanout(Workload):
     """normalize on a fresh client of fixed request count against one server."""
 
     name = "server-fanout"
+    checks = ("exhausted", "result", "typechecks")
     clients = 40
     round_ops = 100
     round_s = 3.0
 
-    def __init__(self, seed: int, corrupt: bool = False):
-        self.corrupt = corrupt
+    def __init__(self, seed: int, spoil: str | None = None):
+        super().__init__(spoil)
         rng = random.Random(seed)
         self.ops = [server_fanout(rng, self.clients) for _ in range(self.round_ops)]
-
-    def round(self):
-        return self.ops
 
     def prepare(self, op):
         pf = parse_problem(op[0])
@@ -475,11 +488,16 @@ class ServerFanout:
         return normalize(arg[0], 20 * self.clients)
 
     def verify(self, op, arg, res):
-        want = op[1] + ("x" if self.corrupt else "")
-        if res.exhausted or format_process(res.process) != want:
-            return False
-        typecheck(res.process, arg[1])
-        return True
+        try:
+            typecheck(res.process, arg[1])
+            typed = True
+        except ProcessTypeError:
+            typed = False
+        return (
+            self.expect("exhausted", res.exhausted, False)
+            and self.expect("result", format_process(res.process), op[1])
+            and self.expect("typechecks", typed, True)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -496,16 +514,17 @@ def _after(out: str, prefix: str) -> str:
     return "\n".join(lines[k:])
 
 
-class Corpus:
+class Corpus(Workload):
     """lmrl.cli.main in-process on every corpus file and subcommand."""
 
     name = "corpus"
+    checks = ("exit-status", "says-ok", "reparses", "cut-free", "concludes-goal", "cll2-split")
     round_s = 0.75
     depth = 3  # prove --depth
     fuel = 200  # run / sr-check --fuel
 
-    def __init__(self, seed: int, corrupt: bool = False):
-        self.corrupt = corrupt
+    def __init__(self, seed: int, spoil: str | None = None):
+        super().__init__(spoil)
         self.ops = []
         for dirpath, _, files in sorted(os.walk("corpus")):
             for fname in sorted(files):
@@ -543,9 +562,6 @@ class Corpus:
             cmds = []
         return [c + (source,) for c in cmds]
 
-    def round(self):
-        return self.ops
-
     def prepare(self, op):
         return op[0]
 
@@ -557,37 +573,40 @@ class Corpus:
 
     def verify(self, op, argv, out):
         code, text = out
-        _, expect, check_output, source = op
-        if self.corrupt:
-            expect = -1
-        if code != expect and not (expect is None and code in (0, 1)):
+        _, status, check_output, source = op
+        got = code
+        if status is None:  # either verdict may hold
+            got, status = code in (0, 1), True
+        if not self.expect("exit-status", got, status):
             return False
-        return code != 0 or check_output(text, source)
+        return code != 0 or check_output(self.expect, text, source)
 
 
-def _says_ok(text, source):
-    return text.startswith("status: ok")
+def _says_ok(expect, text, source):
+    return expect("says-ok", text.startswith("status: ok"), True)
 
 
-def _reparses_derivation(text, source):
+def _reparses_derivation(expect, text, source):
     header = f"base {_base_size(source)}\n"
-    return parse_problem(header + _after(text, "(rule")).kind == "derivation"
+    return expect("reparses", parse_problem(header + _after(text, "(rule")).kind, "derivation")
 
 
-def _reparses_process(text, source):
+def _reparses_process(expect, text, source):
     lines = text.splitlines()
-    return "cut-free: yes" in lines and parse_problem(
-        f"base {_base_size(source)}\nproc {lines[-1]}"
-    ).kind == "process"
+    kind = parse_problem(f"base {_base_size(source)}\nproc {lines[-1]}").kind
+    return expect("cut-free", "cut-free: yes" in lines, True) and expect(
+        "reparses", kind, "process"
+    )
 
 
-def _proves_goal(text, source):
+def _proves_goal(expect, text, source):
     n = _base_size(source)
     d = parse_problem(f"base {n}\n" + _after(text, "(rule")).derivation
-    return multiset(d.concl.items, n) == multiset(parse_problem(source).sequent.items, n)
+    goal = parse_problem(source).sequent
+    return expect("concludes-goal", multiset(d.concl.items, n), multiset(goal.items, n))
 
 
-def _cll2_split(text, source):
+def _cll2_split(expect, text, source):
     n = _base_size(source)
     goal = parse_problem(source).sequent
     lines = dict(line.split(": ", 1) for line in text.splitlines() if ": " in line)
@@ -599,7 +618,7 @@ def _cll2_split(text, source):
             parse_formula_text(s, rl.finite_base(n))
         counts[side] = len(parts)
     right = sum(1 for f in goal.items if 0 in members(f.roles, n))
-    return counts == {"left": len(goal.items) - right, "right": right}
+    return expect("cll2-split", counts, {"left": len(goal.items) - right, "right": right})
 
 
 def _is_identity(goal, n):
