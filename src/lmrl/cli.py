@@ -2,13 +2,17 @@
 
 Exit codes: 0 success, 1 semantic failure (invalid proof, type error,
 unprovable goal, stuck process where progress was expected), 2 usage or
-syntax errors.  ``--json`` switches diagnostics to flat ``key: value``
-lines (one pair per line; no quoting, values verbatim).
+syntax errors, 3 internal error (any other exception, such as running out
+of Python stack on a very deep input).  A standard output closed early (as
+by ``| head``) ends the command quietly with exit 1.  ``--json`` switches
+diagnostics to flat ``key: value`` lines (one pair per line; no quoting,
+values verbatim).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import roles as rl
@@ -353,6 +357,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: send the rest of the output, and the
+        # flush at interpreter exit, to devnull so no traceback follows
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _dispatch(argv) -> int:
     ap = build_parser()
     try:
         ns = ap.parse_args(argv)
@@ -382,6 +399,12 @@ def main(argv=None) -> int:
         out.kv("status", "failed")
         out.kv("reason", e)
         return 1
+    except BrokenPipeError:
+        raise
+    except Exception as e:
+        out.kv("status", "internal-error")
+        out.kv("reason", f"{type(e).__name__}: {e}")
+        return 3
 
 
 if __name__ == "__main__":

@@ -213,6 +213,17 @@ _UNARY_MSG = (MsgSkipIn, MsgSkipOut, MsgRecv, MsgSend)
 
 
 def free_names(p: Process) -> frozenset[str]:
+    """Free names of ``p``, computed once per node and cached on it."""
+    cached = getattr(p, "_cached_free", None)
+    if cached is None:
+        cached = _free_names(p)
+        object.__setattr__(p, "_cached_free", cached)
+    return cached
+
+
+def _free_names(p: Process) -> frozenset[str]:
+    """Free names of ``p`` from the cached sets of its children."""
+    # each union starts from a frozenset, so every result is one too
     match p:
         case Cut(x, _, parts):
             out = frozenset()
@@ -222,25 +233,29 @@ def free_names(p: Process) -> frozenset[str]:
         case OutName(x, _, y, _, body) | ServerAccept(x, _, y, _, body) | ClientRequest(
             x, _, y, _, body
         ):
-            return {x} | (free_names(body) - {y})
+            return (free_names(body) - {y}) | {x}
         case InName(x, _, y, _, left, right):
-            return {x} | (free_names(left) - {y}) | free_names(right)
+            return (free_names(left) - {y}) | free_names(right) | {x}
         case OutEmpty(x, _, _, body) | SelL(x, _, _, body) | SelR(x, _, _, body):
-            return {x} | free_names(body)
+            return free_names(body) | {x}
         case InEmpty(x, _, _):
             return frozenset((x,))
         case Case(x, _, _, left, right):
-            return {x} | free_names(left) | free_names(right)
+            return free_names(left) | free_names(right) | {x}
         case MsgSkipIn(x, _, _, _, body) | MsgSkipOut(x, _, _, _, body) | MsgRecv(
             x, _, _, _, body
         ) | MsgSend(x, _, _, _, body):
-            return {x} | free_names(body)
+            return free_names(body) | {x}
     raise TypeError(p)
 
 
 def rename_free(p: Process, old: str, new: str) -> Process:
-    """Capture-avoiding renaming of the free name ``old`` to ``new``."""
-    if old == new:
+    """Capture-avoiding renaming of the free name ``old`` to ``new``.
+
+    Subterms where ``old`` is not free are returned as they are, so a
+    renaming copies only the paths down to the occurrences of ``old``.
+    """
+    if old == new or old not in free_names(p):
         return p
 
     def rn(n: str) -> str:
@@ -248,8 +263,6 @@ def rename_free(p: Process, old: str, new: str) -> Process:
 
     match p:
         case Cut(x, ann, parts):
-            if x == old:
-                return p
             if x == new:
                 x2 = fresh_name(x)
                 parts = tuple(rename_free(q, x, x2) for q in parts)
@@ -420,7 +433,7 @@ def _assoc_moves(p: Process):
                 if isinstance(part, Cut) and part.x != x:
                     y, anny, inner = part.x, part.ann, part.parts
                     rest = parts[:k] + parts[k + 1 :]
-                    if y in frozenset().union(*(free_names(q) for q in rest)) if rest else False:
+                    if any(y in free_names(q) for q in rest):
                         continue
                     for m, pivot in enumerate(inner):
                         others = inner[:m] + inner[m + 1 :]
@@ -938,10 +951,10 @@ def step_detailed(p: Process) -> StepResult | None:
         r = _reduce_cut(p)
         if r is not None:
             return r
-    for k, child in enumerate(_children(p)):
+    kids = _children(p)
+    for k, child in enumerate(kids):
         r = step_detailed(child)
         if r is not None:
-            kids = _children(p)
             wrapped = _rebuild(p, kids[:k] + [r.process] + kids[k + 1 :])
             alt = (
                 _rebuild(p, kids[:k] + [r.alt] + kids[k + 1 :]) if r.alt is not None else None
@@ -1054,10 +1067,9 @@ def _principal(cut: Cut) -> StepResult | None:
 
 def _convert(cut: Cut, q: Process, rest: tuple[Process, ...]) -> StepResult | None:
     x, ann = cut.x, cut.ann
-    rest_fn = frozenset().union(*(free_names(t) for t in rest)) if rest else frozenset()
 
     def freshen(y, *bodies):
-        if y in rest_fn or y == x:
+        if y == x or any(y in free_names(t) for t in rest):
             y2 = fresh_name(y)
             return y2, [rename_free(b, y, y2) for b in bodies]
         return y, list(bodies)
@@ -1189,24 +1201,19 @@ def check_subject_reduction(p: Process, env: TypeEnv, fuel: int) -> SRReport:
     """Run the reduction, re-typechecking after every step."""
     typecheck(p, env)
     steps = 0
-    progress_ok = True
     while steps < fuel:
-        if isinstance(p, Cut):
-            r = step_detailed(p)
-            if r is None:
-                progress_ok = False
-                return SRReport(False, steps, p, False, False, False, "stuck cut")
-        else:
-            r = step_detailed(p)
+        r = step_detailed(p)
         if r is None:
-            return SRReport(True, steps, p, False, not has_cut(p), progress_ok)
+            if isinstance(p, Cut):
+                return SRReport(False, steps, p, False, False, False, "stuck cut")
+            return SRReport(True, steps, p, False, not has_cut(p), True)
         p = r.process
         steps += 1
         try:
             typecheck(p, env)
         except ProcessTypeError as e:
             return SRReport(
-                False, steps, p, False, not has_cut(p), progress_ok,
+                False, steps, p, False, not has_cut(p), True,
                 f"step {steps} broke typing: {e.reason}",
             )
-    return SRReport(True, steps, p, True, not has_cut(p), progress_ok)
+    return SRReport(True, steps, p, True, not has_cut(p), True)

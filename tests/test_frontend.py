@@ -1,8 +1,11 @@
 import glob
 import os
+import subprocess
+import sys
 
 import pytest
 
+import lmrl
 from lmrl import roles as rl
 from lmrl.cli import main
 from lmrl.parser import (
@@ -21,6 +24,7 @@ from lmrl.printer import (
     format_sequent,
 )
 from lmrl.processes import alpha_equiv
+from worlds import deep_session
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 LOGIC = os.path.join(ROOT, "corpus", "logic")
@@ -267,3 +271,30 @@ def test_cli_prove_with_witness_pool(capsys, tmp_path):
     assert code == 1  # no witness available anywhere
     code, out = run(capsys, "prove", str(p), "--depth", "4", "--witnesses", "c")
     assert code == 0 and "proved" in out
+
+
+def test_cli_internal_error_exit_3(capsys, tmp_path):
+    # deeper than the Python stack allows: reported, not a traceback
+    p = tmp_path / "deep.pi"
+    p.write_text(deep_session(1500))
+    for argv in (["typecheck", str(p)], ["run", str(p), "--fuel", "5000"]):
+        code, out = run(capsys, *argv)
+        assert code == 3
+        assert "status: internal-error" in out and "reason: RecursionError" in out
+
+
+def test_cli_closed_stdout_prints_no_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lmrl.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lmrl.cli", "typecheck", os.path.join(PROC, "unit3.pi")],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1 and proc.stderr == b""

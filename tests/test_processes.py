@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from lmrl import processes
 from lmrl import roles as rl
 from lmrl.derivation import Calculus, check
 from lmrl.parser import parse_problem
@@ -37,6 +38,7 @@ from lmrl.processes import (
     typecheck,
 )
 from lmrl.syntax import Bang, IFormula, One, Tensor
+from worlds import deep_session
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus", "proc")
 
@@ -75,6 +77,77 @@ def test_rename_free_capture_avoiding():
     # the binder moved out of the way
     assert isinstance(q, OutName) and q.y != "y"
     assert free_names(q) == {"x", "y"}
+
+
+def subterms(p):
+    out, stack = [], [p]
+    while stack:
+        q = stack.pop()
+        out.append(q)
+        stack.extend(processes._children(q))
+    return out
+
+
+def typed_terms(td):
+    yield td.process
+    for sub in td.premises:
+        yield from typed_terms(sub)
+
+
+def uncached_free_names(p):
+    """Free names recomputed over the whole term, reading no cached set."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(processes, "free_names", processes._free_names)
+        return processes._free_names(p)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_cached_free_names_match_recomputation(name):
+    p, env = load(name)
+    terms = [p]
+    res = normalize(p, 200, keep_trace=True)
+    for r in res.trace:
+        terms += [r.process] + ([r.alt] if r.alt is not None else [])
+    if name in POSITIVE:
+        terms += typed_terms(typecheck(p, env))
+    for t in terms:
+        for q in subterms(t):
+            cached = free_names(q)
+            assert type(cached) is frozenset
+            assert cached == uncached_free_names(q)
+
+
+def test_rename_free_shares_untouched_subterms():
+    p, _ = load("commute-case")
+    assert rename_free(p, "nowhere", "y") is p
+    c = Case("x", S0, 0, InEmpty("z", S0, 0), InEmpty("x", S0, 0))
+    d = rename_free(c, "z", "u")
+    assert d.left == InEmpty("u", S0, 0) and d.right is c.right
+
+
+@pytest.mark.parametrize("name", POSITIVE)
+def test_filled_cache_leaves_equality_and_hash(name):
+    p, env = load(name)
+    typecheck(p, env)
+    for q in subterms(p):
+        free_names(q)
+    fresh, _ = load(name)
+    assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+
+
+def test_typecheck_computes_each_free_name_set_once(monkeypatch):
+    pf = parse_problem(deep_session(200))
+    seen = []
+    compute = processes._free_names
+
+    def counting(q):
+        seen.append(q)
+        return compute(q)
+
+    monkeypatch.setattr(processes, "_free_names", counting)
+    typecheck(pf.process, dict(pf.env))
+    assert len({id(q) for q in seen}) == len(seen)
+    assert len(seen) <= len(subterms(pf.process))
 
 
 def test_struct_equiv_permutation():

@@ -231,3 +231,17 @@ def small_formulas(base, max_size):
     for size in range(max_size + 1):
         out.extend(by_size[size])
     return out
+
+
+def deep_session(depth: int) -> str:
+    """Problem text: ``depth`` nested ``[inl]`` selections against offers.
+
+    Level k selects the branch that holds level k-1; the other branch is a
+    unit.  The selector ends by closing the link and using ``w``.
+    """
+    typ, offer, sel = "one[0]", "x{0}()@0.end", "x{1}[]@0.?w{0}[v]@1.v{0}()@0.end"
+    for _ in range(depth):
+        typ = f"({typ}) &[0] one[0]"
+        offer = f"x{{0}}(case)@0.({offer}, x{{0}}()@0.end)"
+        sel = f"x{{1}}[inl]@0.{sel}"
+    return f"base 2\nenv w : [{{0}}] ![1] one[0]\nproc new x: {typ} .( {offer} | {sel} )\n"
