@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 semantic failure (invalid proof, type error,
 unprovable goal, stuck process where progress was expected), 2 usage or
 syntax errors, 3 internal error (any other exception, such as running out
 of Python stack on a very deep input).  A standard output closed early (as
-by ``| head``) ends the command quietly with exit 1.  ``--json`` switches
-diagnostics to flat ``key: value`` lines (one pair per line; no quoting,
-values verbatim).
+by ``| head``) ends the command quietly with exit 1.  ``--json``, given
+after the subcommand, switches diagnostics to flat ``key: value`` lines (one
+pair per line; no quoting, values verbatim).
 """
 
 from __future__ import annotations
@@ -280,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lmrl", description="multirole proof kernel and process toolkit"
     )
-    ap.add_argument("--json", action="store_true", help="flat key: value diagnostics")
     sub = ap.add_subparsers(dest="cmd", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="flat key: value diagnostics")

@@ -57,6 +57,7 @@ from .syntax import (
     subst_formula,
     subst_term,
     subterms_of,
+    term_vars,
 )
 
 
@@ -74,54 +75,29 @@ def subst_derivation(d: Derivation, x: str, t: Term) -> Derivation:
     Structure-preserving (heights unchanged) except that eigenvariables are
     renamed fresh where ``t`` would be captured.
     """
+    changes = {}
     match d:
-        case DId(atom=a, rolesets=rss):
-            return DId(subst_formula(a, x, t), rss)
-        case DOnePos():
-            return d
-        case DOneNeg(rs=rs, r=r, premise=p):
-            return DOneNeg(rs, r, subst_derivation(p, x, t))
-        case DTensorNeg(r=r, premise=p, i=i, j=j):
-            return DTensorNeg(r, subst_derivation(p, x, t), i, j)
-        case DTensorPos(r=r, left=l, i=i, right=rp, j=j):
-            return DTensorPos(r, subst_derivation(l, x, t), i, subst_derivation(rp, x, t), j)
-        case DWithNegL(r=r, other=o, premise=p, i=i):
-            return DWithNegL(r, subst_formula(o, x, t), subst_derivation(p, x, t), i)
-        case DWithNegR(r=r, other=o, premise=p, i=i):
-            return DWithNegR(r, subst_formula(o, x, t), subst_derivation(p, x, t), i)
-        case DWithPos(r=r, left=l, i=i, right=rp, j=j):
-            return DWithPos(r, subst_derivation(l, x, t), i, subst_derivation(rp, x, t), j)
-        case DBangPos(r=r, premise=p, i=i):
-            return DBangPos(r, subst_derivation(p, x, t), i)
-        case DBangNegWeaken(r=r, rs=rs, body=b, premise=p):
-            return DBangNegWeaken(r, rs, subst_formula(b, x, t), subst_derivation(p, x, t))
-        case DBangNegDerelict(r=r, premise=p, i=i):
-            return DBangNegDerelict(r, subst_derivation(p, x, t), i)
-        case DBangNegContract(premise=p, i=i, j=j):
-            return DBangNegContract(subst_derivation(p, x, t), i, j)
-        case DForallNeg(r=r, var=v, body=b, witness=w, premise=p, i=i):
-            w2 = subst_term(w, x, t)
-            b2 = b if v == x else subst_formula(b, x, t)
-            return DForallNeg(r, v, b2, w2, subst_derivation(p, x, t), i)
-        case DForallPos(r=r, eigen=z, premise=p, i=i):
+        case DId(atom=a):
+            changes["atom"] = subst_formula(a, x, t)
+        case DWithNegL(other=o) | DWithNegR(other=o):
+            changes["other"] = subst_formula(o, x, t)
+        case DBangNegWeaken(body=b):
+            changes["body"] = subst_formula(b, x, t)
+        case DForallNeg(var=v, body=b, witness=w):
+            changes["witness"] = subst_term(w, x, t)
+            if v != x:
+                changes["body"] = subst_formula(b, x, t)
+        case DForallPos(eigen=z):
             if z == x:
                 return d
-            if z in _term_var_names(t):
+            if z in term_vars(t):
                 d = _freshen_eigen(d)
-                z, p = d.eigen, d.premise
-            return DForallPos(r, z, subst_derivation(p, x, t), d.i)
-    raise TypeError(d)
-
-
-def _term_var_names(t: Term) -> frozenset[str]:
-    from .syntax import term_vars
-
-    return term_vars(t)
+    return d.rebuild([subst_derivation(p, x, t) for p in d.premises], **changes)
 
 
 def _freshen_eigen(d: DForallPos) -> DForallPos:
     z2 = fresh_name(d.eigen)
-    return DForallPos(d.r, z2, subst_derivation(d.premise, d.eigen, Var(z2)), d.i)
+    return d.rebuild([subst_derivation(d.premise, d.eigen, Var(z2))], eigen=z2)
 
 
 # ---------------------------------------------------------------------------
@@ -131,36 +107,6 @@ def _freshen_eigen(d: DForallPos) -> DForallPos:
 def _prem_to_concl(node: Derivation, k: int) -> dict[int, int]:
     """Premise-``k`` kept positions -> node conclusion positions."""
     return {ppos: cpos for cpos, ppos in node.context_maps()[k].items()}
-
-
-def _reapply(d: Derivation, new_premises, posmaps) -> Derivation:
-    """Rebuild ``d``'s rule over new premises with operand indices remapped."""
-    match d:
-        case DOneNeg(rs=rs, r=r):
-            return DOneNeg(rs, r, new_premises[0])
-        case DTensorNeg(r=r, i=i, j=j):
-            return DTensorNeg(r, new_premises[0], posmaps[0][i], posmaps[0][j])
-        case DWithNegL(r=r, other=o, i=i):
-            return DWithNegL(r, o, new_premises[0], posmaps[0][i])
-        case DWithNegR(r=r, other=o, i=i):
-            return DWithNegR(r, o, new_premises[0], posmaps[0][i])
-        case DBangPos(r=r, i=i):
-            return DBangPos(r, new_premises[0], posmaps[0][i])
-        case DBangNegWeaken(r=r, rs=rs, body=b):
-            return DBangNegWeaken(r, rs, b, new_premises[0])
-        case DBangNegDerelict(r=r, i=i):
-            return DBangNegDerelict(r, new_premises[0], posmaps[0][i])
-        case DBangNegContract(i=i, j=j):
-            return DBangNegContract(new_premises[0], posmaps[0][i], posmaps[0][j])
-        case DForallNeg(r=r, var=v, body=b, witness=w, i=i):
-            return DForallNeg(r, v, b, w, new_premises[0], posmaps[0][i])
-        case DForallPos(r=r, eigen=z, i=i):
-            return DForallPos(r, z, new_premises[0], posmaps[0][i])
-        case DTensorPos(r=r, i=i, j=j):
-            return DTensorPos(r, new_premises[0], posmaps[0][i], new_premises[1], posmaps[1][j])
-        case DWithPos(r=r, i=i, j=j):
-            return DWithPos(r, new_premises[0], posmaps[0][i], new_premises[1], posmaps[1][j])
-    raise TypeError(d)
 
 
 def _contract_chain(d: Derivation, pairs) -> tuple[Derivation, dict[int, int]]:
@@ -231,7 +177,7 @@ def _erase(d: Derivation, occ: int) -> tuple[Derivation, dict[int, int]]:
     if isinstance(d, DWithPos):
         e1, m1 = _erase(d.left, cmaps[0][occ])
         e2, m2 = _erase(d.right, cmaps[1][occ])
-        node = _reapply(d, (e1, e2), (m1, m2))
+        node = d.rebuild((e1, e2), (m1, m2))
     else:
         k = 0 if occ in cmaps[0] else 1
         prems = list(d.premises)
@@ -242,7 +188,7 @@ def _erase(d: Derivation, occ: int) -> tuple[Derivation, dict[int, int]]:
         for other in range(len(d.premises)):
             if other != k:
                 maps[other] = {p: p for p in range(len(d.premises[other].concl))}
-        node = _reapply(d, tuple(prems), maps)
+        node = d.rebuild(prems, maps)
         m1, m2 = (maps + [None])[0], (maps + [None, None])[1]
     out = {}
     shifts = [_prem_to_concl(node, k) for k in range(len(node.premises))]
@@ -489,8 +435,7 @@ def _commute(sc: _Side, so: _Side, cutf: Formula, measure):
         cmap = cmaps[0]
         prem_occs = frozenset(cmap[p] for p in sc.occs)
         e, op, oo, sp = _spill(_Side(d.premises[0], prem_occs, sc.rs), so, cutf, measure)
-        posmap = {q: op[q] for q in op}
-        node = _reapply(d, (e,), (posmap,))
+        node = d.rebuild((e,), (op,))
         shift = _prem_to_concl(node, 0)
         out_c = {}
         for q in range(len(d.concl)):
@@ -510,7 +455,7 @@ def _commute(sc: _Side, so: _Side, cutf: Formula, measure):
     if isinstance(d, DWithPos):
         e1, o1p, o1o, sp1 = _spill(_Side(d.left, des0, sc.rs), so, cutf, measure)
         e2, o2p, o2o, sp2 = _spill(_Side(d.right, des1, sc.rs), so, cutf, measure)
-        node = DWithPos(d.r, e1, o1p[d.i], e2, o2p[d.j])
+        node = d.rebuild((e1, e2), (o1p, o2p))
         shift = _prem_to_concl(node, 0)
         out_c = {}
         for q in range(len(d.concl)):
@@ -529,10 +474,9 @@ def _commute(sc: _Side, so: _Side, cutf: Formula, measure):
         prem = d.premises[k]
         des = des0 if k == 0 else des1
         e, op, oo, sp = _spill(_Side(prem, des, sc.rs), so, cutf, measure)
-        if k == 0:
-            node = DTensorPos(d.r, e, op[d.i], d.right, d.j)
-        else:
-            node = DTensorPos(d.r, d.left, d.i, e, op[d.j])
+        prems, maps = [d.left, d.right], [None, None]
+        prems[k], maps[k] = e, op
+        node = d.rebuild(prems, maps)
         sh_new = _prem_to_concl(node, k)
         sh_old = _prem_to_concl(node, 1 - k)
         out_c = {}

@@ -61,10 +61,29 @@ def _require(cond: bool, msg: str):
 
 
 class Derivation:
-    """Base node.  Subclasses set ``rule`` and implement ``_compute``."""
+    """Base node.  Subclasses set ``rule`` and implement ``_compute``.
+
+    ``schema`` maps each premise field, in premise order, to the index fields
+    that address occurrences in that premise's conclusion.  ``rebuild`` and
+    ``_premise_removed`` are derived from it.
+    """
 
     rule: str = "?"
     premises: tuple["Derivation", ...] = ()
+    schema: dict[str, tuple[str, ...]] = {}
+
+    def __init_subclass__(cls, **kw):
+        super().__init_subclass__(**kw)
+        # fixed once per class: the index fields of each premise, and for
+        # rebuild the (argument slot, premise) pairs of the premise fields and
+        # of the index fields
+        cls._indices = tuple(cls.schema.values())
+        names = list(cls.__dict__.get("__annotations__", ()))
+        if names:  # a rule, not a mixin
+            cls._premise_slots = tuple((names.index(f), k) for k, f in enumerate(cls.schema))
+            cls._index_slots = tuple(
+                (names.index(i), k) for k, idx in enumerate(cls._indices) for i in idx
+            )
 
     @property
     def concl(self) -> Sequent:
@@ -82,7 +101,25 @@ class Derivation:
 
     def _premise_removed(self, k: int) -> set[int]:
         """Premise-``k`` positions consumed by the rule."""
-        return set()
+        fields = self.__dict__
+        return {fields[f] for f in self._indices[k]}
+
+    def rebuild(self, premises, posmaps=None, **changes) -> "Derivation":
+        """The same rule over new ``premises``.
+
+        ``posmaps[k]``, unless it or ``posmaps`` is None, takes the index
+        fields addressing premise ``k`` from old to new positions; ``changes``
+        replaces other fields by name.
+        """
+        fields = self.__dict__
+        args = [changes[f] if f in changes else fields[f] for f in self.__match_args__]
+        for slot, k in self._premise_slots:
+            args[slot] = premises[k]
+        if posmaps is not None:
+            for slot, k in self._index_slots:
+                if posmaps[k] is not None:
+                    args[slot] = posmaps[k][args[slot]]
+        return type(self)(*args)
 
     def context_maps(self) -> list[dict[int, int]]:
         """Per premise, a map conclusion-position -> premise-position.
@@ -98,6 +135,36 @@ class Derivation:
             maps.append({offset + j: i for j, i in enumerate(kept)})
             offset += len(kept)
         return maps
+
+
+class _OnePremise(Derivation):
+    schema = {"premise": ()}
+
+    @property
+    def premises(self):
+        return (self.premise,)
+
+
+class _TwoPremises(Derivation):
+    schema = {"left": ("i",), "right": ("j",)}
+
+    @property
+    def premises(self):
+        return (self.left, self.right)
+
+
+class _OneOccurrence(_OnePremise):
+    """Rules turning premise occurrence ``i`` into the major formula that
+    ``_major`` builds from its body, under the same role set."""
+
+    schema = {"premise": ("i",)}
+
+    def _compute(self):
+        items = self.premise.concl.items
+        _require(0 <= self.i < len(items), "index out of range")
+        a = items[self.i]
+        ctx = [f for k, f in enumerate(items) if k != self.i]
+        return ctx + [IFormula(a.roles, self._major(a.body))]
 
 
 # ---------------------------------------------------------------------------
@@ -132,31 +199,24 @@ class DOnePos(Derivation):
 
 
 @dataclass(frozen=True, eq=False)
-class DOneNeg(Derivation):
+class DOneNeg(_OnePremise):
     rs: RoleSet
     r: int
     premise: Derivation
     rule = "one-neg"
-
-    @property
-    def premises(self):
-        return (self.premise,)
 
     def _compute(self):
         return list(self.premise.concl.items) + [IFormula(self.rs, One(self.r))]
 
 
 @dataclass(frozen=True, eq=False)
-class DTensorNeg(Derivation):
+class DTensorNeg(_OnePremise):
     r: int
     premise: Derivation
     i: int
     j: int
     rule = "tensor-neg"
-
-    @property
-    def premises(self):
-        return (self.premise,)
+    schema = {"premise": ("i", "j")}
 
     def _compute(self):
         items = self.premise.concl.items
@@ -167,22 +227,15 @@ class DTensorNeg(Derivation):
         ctx = [f for k, f in enumerate(items) if k not in (self.i, self.j)]
         return ctx + [IFormula(a.roles, Tensor(self.r, a.body, b.body))]
 
-    def _premise_removed(self, k):
-        return {self.i, self.j}
-
 
 @dataclass(frozen=True, eq=False)
-class DTensorPos(Derivation):
+class DTensorPos(_TwoPremises):
     r: int
     left: Derivation
     i: int
     right: Derivation
     j: int
     rule = "tensor-pos"
-
-    @property
-    def premises(self):
-        return (self.left, self.right)
 
     def _compute(self):
         li, ri = self.left.concl.items, self.right.concl.items
@@ -193,68 +246,39 @@ class DTensorPos(Derivation):
         ctx += [f for k, f in enumerate(ri) if k != self.j]
         return ctx + [IFormula(a.roles, Tensor(self.r, a.body, b.body))]
 
-    def _premise_removed(self, k):
-        return {self.i} if k == 0 else {self.j}
-
 
 @dataclass(frozen=True, eq=False)
-class DWithNegL(Derivation):
+class DWithNegL(_OneOccurrence):
     r: int
     other: Formula
     premise: Derivation
     i: int
     rule = "with-neg-l"
 
-    @property
-    def premises(self):
-        return (self.premise,)
-
-    def _compute(self):
-        items = self.premise.concl.items
-        _require(0 <= self.i < len(items), "index out of range")
-        a = items[self.i]
-        ctx = [f for k, f in enumerate(items) if k != self.i]
-        return ctx + [IFormula(a.roles, With(self.r, a.body, self.other))]
-
-    def _premise_removed(self, k):
-        return {self.i}
+    def _major(self, body):
+        return With(self.r, body, self.other)
 
 
 @dataclass(frozen=True, eq=False)
-class DWithNegR(Derivation):
+class DWithNegR(_OneOccurrence):
     r: int
     other: Formula
     premise: Derivation
     i: int
     rule = "with-neg-r"
 
-    @property
-    def premises(self):
-        return (self.premise,)
-
-    def _compute(self):
-        items = self.premise.concl.items
-        _require(0 <= self.i < len(items), "index out of range")
-        b = items[self.i]
-        ctx = [f for k, f in enumerate(items) if k != self.i]
-        return ctx + [IFormula(b.roles, With(self.r, self.other, b.body))]
-
-    def _premise_removed(self, k):
-        return {self.i}
+    def _major(self, body):
+        return With(self.r, self.other, body)
 
 
 @dataclass(frozen=True, eq=False)
-class DWithPos(Derivation):
+class DWithPos(_TwoPremises):
     r: int
     left: Derivation
     i: int
     right: Derivation
     j: int
     rule = "with-pos"
-
-    @property
-    def premises(self):
-        return (self.left, self.right)
 
     def _compute(self):
         li, ri = self.left.concl.items, self.right.concl.items
@@ -268,9 +292,6 @@ class DWithPos(Derivation):
             "branch contexts differ",
         )
         return ctx1 + [IFormula(a.roles, With(self.r, a.body, b.body))]
-
-    def _premise_removed(self, k):
-        return {self.i} if k == 0 else {self.j}
 
     def context_maps(self):
         # Shared context: every conclusion occurrence maps into both branches;
@@ -291,75 +312,46 @@ class DWithPos(Derivation):
 
 
 @dataclass(frozen=True, eq=False)
-class DBangPos(Derivation):
+class DBangPos(_OneOccurrence):
     r: int
     premise: Derivation
     i: int
     rule = "bang-pos"
 
-    @property
-    def premises(self):
-        return (self.premise,)
-
-    def _compute(self):
-        items = self.premise.concl.items
-        _require(0 <= self.i < len(items), "index out of range")
-        a = items[self.i]
-        ctx = [f for k, f in enumerate(items) if k != self.i]
-        return ctx + [IFormula(a.roles, Bang(self.r, a.body))]
-
-    def _premise_removed(self, k):
-        return {self.i}
+    def _major(self, body):
+        return Bang(self.r, body)
 
 
 @dataclass(frozen=True, eq=False)
-class DBangNegWeaken(Derivation):
+class DBangNegWeaken(_OnePremise):
     r: int
     rs: RoleSet
     body: Formula
     premise: Derivation
     rule = "bang-neg-weaken"
 
-    @property
-    def premises(self):
-        return (self.premise,)
-
     def _compute(self):
         return list(self.premise.concl.items) + [IFormula(self.rs, Bang(self.r, self.body))]
 
 
 @dataclass(frozen=True, eq=False)
-class DBangNegDerelict(Derivation):
+class DBangNegDerelict(_OneOccurrence):
     r: int
     premise: Derivation
     i: int
     rule = "bang-neg-derelict"
 
-    @property
-    def premises(self):
-        return (self.premise,)
-
-    def _compute(self):
-        items = self.premise.concl.items
-        _require(0 <= self.i < len(items), "index out of range")
-        a = items[self.i]
-        ctx = [f for k, f in enumerate(items) if k != self.i]
-        return ctx + [IFormula(a.roles, Bang(self.r, a.body))]
-
-    def _premise_removed(self, k):
-        return {self.i}
+    def _major(self, body):
+        return Bang(self.r, body)
 
 
 @dataclass(frozen=True, eq=False)
-class DBangNegContract(Derivation):
+class DBangNegContract(_OnePremise):
     premise: Derivation
     i: int
     j: int
     rule = "bang-neg-contract"
-
-    @property
-    def premises(self):
-        return (self.premise,)
+    schema = {"premise": ("i", "j")}
 
     def _compute(self):
         items = self.premise.concl.items
@@ -371,12 +363,9 @@ class DBangNegContract(Derivation):
         ctx = [f for k, f in enumerate(items) if k not in (self.i, self.j)]
         return ctx + [a]
 
-    def _premise_removed(self, k):
-        return {self.i, self.j}
-
 
 @dataclass(frozen=True, eq=False)
-class DForallNeg(Derivation):
+class DForallNeg(_OneOccurrence):
     r: int
     var: str
     body: Formula
@@ -385,42 +374,20 @@ class DForallNeg(Derivation):
     i: int
     rule = "forall-neg"
 
-    @property
-    def premises(self):
-        return (self.premise,)
-
-    def _compute(self):
-        items = self.premise.concl.items
-        _require(0 <= self.i < len(items), "index out of range")
-        a = items[self.i]
-        ctx = [f for k, f in enumerate(items) if k != self.i]
-        return ctx + [IFormula(a.roles, Forall(self.r, self.var, self.body))]
-
-    def _premise_removed(self, k):
-        return {self.i}
+    def _major(self, body):
+        return Forall(self.r, self.var, self.body)
 
 
 @dataclass(frozen=True, eq=False)
-class DForallPos(Derivation):
+class DForallPos(_OneOccurrence):
     r: int
     eigen: str
     premise: Derivation
     i: int
     rule = "forall-pos"
 
-    @property
-    def premises(self):
-        return (self.premise,)
-
-    def _compute(self):
-        items = self.premise.concl.items
-        _require(0 <= self.i < len(items), "index out of range")
-        a = items[self.i]
-        ctx = [f for k, f in enumerate(items) if k != self.i]
-        return ctx + [IFormula(a.roles, Forall(self.r, self.eigen, a.body))]
-
-    def _premise_removed(self, k):
-        return {self.i}
+    def _major(self, body):
+        return Forall(self.r, self.eigen, body)
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +489,7 @@ def _check_node(d: Derivation, calc: Calculus, path: tuple[int, ...]):
             parts = list(rss) if calc is Calculus.CONJ else [rl.complement(s) for s in rss]
             if not rl.is_partition_of_full(parts):
                 _fail(path, d, f"({label}) role sets do not partition the base")
-        case DOnePos(rs=rs, r=r) | DOneNeg(rs=rs, r=r):
-            if (r in rs) != _wants_member(d.rule, calc):
-                _fail(path, d, f"({label}) wrong polarity for role {r} in {rs}")
-        case DBangNegWeaken(r=r, rs=rs):
+        case DOnePos(rs=rs, r=r) | DOneNeg(rs=rs, r=r) | DBangNegWeaken(r=r, rs=rs):
             if (r in rs) != _wants_member(d.rule, calc):
                 _fail(path, d, f"({label}) wrong polarity for role {r} in {rs}")
         case DBangNegContract():
@@ -572,33 +536,9 @@ def checks(d: Derivation, calc: Calculus = Calculus.CONJ) -> bool:
 
 def dualize(d: Derivation) -> Derivation:
     """Complement every role set; valid conjunctive proofs become disjunctive."""
-    match d:
-        case DId(atom=a, rolesets=rss):
-            return DId(a, tuple(rl.complement(s) for s in rss))
-        case DOnePos(rs=rs, r=r):
-            return DOnePos(rl.complement(rs), r)
-        case DOneNeg(rs=rs, r=r, premise=p):
-            return DOneNeg(rl.complement(rs), r, dualize(p))
-        case DTensorNeg(r=r, premise=p, i=i, j=j):
-            return DTensorNeg(r, dualize(p), i, j)
-        case DTensorPos(r=r, left=l, i=i, right=rp, j=j):
-            return DTensorPos(r, dualize(l), i, dualize(rp), j)
-        case DWithNegL(r=r, other=o, premise=p, i=i):
-            return DWithNegL(r, o, dualize(p), i)
-        case DWithNegR(r=r, other=o, premise=p, i=i):
-            return DWithNegR(r, o, dualize(p), i)
-        case DWithPos(r=r, left=l, i=i, right=rp, j=j):
-            return DWithPos(r, dualize(l), i, dualize(rp), j)
-        case DBangPos(r=r, premise=p, i=i):
-            return DBangPos(r, dualize(p), i)
-        case DBangNegWeaken(r=r, rs=rs, body=b, premise=p):
-            return DBangNegWeaken(r, rl.complement(rs), b, dualize(p))
-        case DBangNegDerelict(r=r, premise=p, i=i):
-            return DBangNegDerelict(r, dualize(p), i)
-        case DBangNegContract(premise=p, i=i, j=j):
-            return DBangNegContract(dualize(p), i, j)
-        case DForallNeg(r=r, var=v, body=b, witness=t, premise=p, i=i):
-            return DForallNeg(r, v, b, t, dualize(p), i)
-        case DForallPos(r=r, eigen=x, premise=p, i=i):
-            return DForallPos(r, x, dualize(p), i)
-    raise TypeError(d)
+    changes = {}
+    if "rs" in d.__match_args__:
+        changes["rs"] = rl.complement(d.rs)
+    if "rolesets" in d.__match_args__:
+        changes["rolesets"] = tuple(rl.complement(s) for s in d.rolesets)
+    return d.rebuild([dualize(p) for p in d.premises], **changes)

@@ -9,7 +9,7 @@ conversions, and nested cuts are reduced leftmost-first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import roles as rl
 from .roles import RoleBase, RoleSet
@@ -82,14 +82,32 @@ def is_proc_type(a: Formula) -> bool:
 
 
 class Process:
+    """A process term.
+
+    Each constructor declares its shape, and the traversals below are
+    derived from it: ``kids`` names the continuation fields, ``binder`` the
+    field holding the name the constructor binds, and ``scope`` the
+    continuations that name is bound in.  ``commute`` names the conversion
+    that pushes an unrelated cut under the header: a single rule pushes it
+    into every continuation, one rule per continuation pushes it into the one
+    continuation that uses the linked name.
+    """
+
     __slots__ = ()
+    kids: tuple[str, ...] = ()
+    binder: str | None = None
+    scope: tuple[str, ...] = ()
+    commute: str | tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
-class Cut(Process):
+class Cut(Process):  # new x:A.(P1 | ... | Pn) , binds x in every part
     x: str
     ann: Formula | None
     parts: tuple[Process, ...]
+    kids = ("parts",)
+    binder = "x"
+    scope = ("parts",)
 
     def __post_init__(self):
         if not self.parts:
@@ -97,12 +115,48 @@ class Cut(Process):
 
 
 @dataclass(frozen=True)
-class OutName(Process):  # x{R}[y]@r.P , binds y in body
+class _Prefix(Process):  # x{R}...@r.P
+    x: str
+    rs: RoleSet
+    r: int
+    body: Process
+    kids = ("body",)
+
+
+class OutEmpty(_Prefix):  # x{R}[]@r.P
+    commute = "commute-oute"
+
+
+class SelL(_Prefix):  # x{R}[inl]@r.P
+    commute = "commute-sel"
+
+
+class SelR(_Prefix):  # x{R}[inr]@r.P
+    commute = "commute-sel"
+
+
+@dataclass(frozen=True)
+class _NamePrefix(Process):  # x{R}[y]@r.P , binds y in body
     x: str
     rs: RoleSet
     y: str
     r: int
     body: Process
+    kids = ("body",)
+    binder = "y"
+    scope = ("body",)
+
+
+class OutName(_NamePrefix):  # x{R}[y]@r.P
+    commute = "commute-out"
+
+
+class ServerAccept(_NamePrefix):  # !x{R}(y)@r.P
+    commute = "commute-srv"
+
+
+class ClientRequest(_NamePrefix):  # ?x{R}[y]@r.P
+    commute = "commute-req"
 
 
 @dataclass(frozen=True)
@@ -113,14 +167,10 @@ class InName(Process):  # x{R}(y)@r.(P1|P2) , binds y in left only
     r: int
     left: Process
     right: Process
-
-
-@dataclass(frozen=True)
-class OutEmpty(Process):  # x{R}[]@r.P
-    x: str
-    rs: RoleSet
-    r: int
-    body: Process
+    kids = ("left", "right")
+    binder = "y"
+    scope = ("left",)
+    commute = ("commute-in-l", "commute-in-r")
 
 
 @dataclass(frozen=True)
@@ -131,85 +181,62 @@ class InEmpty(Process):  # x{R}()@r.end
 
 
 @dataclass(frozen=True)
-class SelL(Process):  # x{R}[inl]@r.P
-    x: str
-    rs: RoleSet
-    r: int
-    body: Process
-
-
-@dataclass(frozen=True)
-class SelR(Process):  # x{R}[inr]@r.P
-    x: str
-    rs: RoleSet
-    r: int
-    body: Process
-
-
-@dataclass(frozen=True)
 class Case(Process):  # x{R}(case)@r.(P1,P2)
     x: str
     rs: RoleSet
     r: int
     left: Process
     right: Process
+    kids = ("left", "right")
+    commute = "commute-case"
 
 
 @dataclass(frozen=True)
-class ServerAccept(Process):  # !x{R}(y)@r.P , binds y
-    x: str
-    rs: RoleSet
-    y: str
-    r: int
-    body: Process
-
-
-@dataclass(frozen=True)
-class ClientRequest(Process):  # ?x{R}[y]@r.P , binds y
-    x: str
-    rs: RoleSet
-    y: str
-    r: int
-    body: Process
-
-
-@dataclass(frozen=True)
-class MsgSkipIn(Process):  # x{R}(skip)@{r,s}.P
+class _Transfer(Process):  # x{R}...@{r,s}.P
     x: str
     rs: RoleSet
     r: int
     s: int
     body: Process
+    kids = ("body",)
+    commute = "commute-msg"
 
 
-@dataclass(frozen=True)
-class MsgSkipOut(Process):  # x{R}[skip]@{r,s}.P
-    x: str
-    rs: RoleSet
-    r: int
-    s: int
-    body: Process
+class MsgSkipIn(_Transfer):  # x{R}(skip)@{r,s}.P
+    pass
 
 
-@dataclass(frozen=True)
-class MsgRecv(Process):  # x{R}(recv)@{r,s}.P
-    x: str
-    rs: RoleSet
-    r: int
-    s: int
-    body: Process
+class MsgSkipOut(_Transfer):  # x{R}[skip]@{r,s}.P
+    pass
 
 
-@dataclass(frozen=True)
-class MsgSend(Process):  # x{R}[send]@{r,s}.P
-    x: str
-    rs: RoleSet
-    r: int
-    s: int
-    body: Process
+class MsgRecv(_Transfer):  # x{R}(recv)@{r,s}.P
+    pass
 
 
-_UNARY_MSG = (MsgSkipIn, MsgSkipOut, MsgRecv, MsgSend)
+class MsgSend(_Transfer):  # x{R}[send]@{r,s}.P
+    pass
+
+
+def _children(p: Process) -> list[Process]:
+    if isinstance(p, Cut):
+        return list(p.parts)
+    return [getattr(p, f) for f in p.kids]
+
+
+def _rebuild(p: Process, children, **changes) -> Process:
+    """``p`` over new ``children`` (in ``_children`` order), with the fields
+    named in ``changes`` replaced; names ``p`` has no field for are ignored."""
+    if isinstance(p, Cut):
+        changes["parts"] = tuple(children)
+    else:
+        changes.update(zip(p.kids, children))
+    fields = p.__dict__
+    return type(p)(*[changes[f] if f in changes else fields[f] for f in p.__match_args__])
+
+
+def _bound(p: Process) -> str | None:
+    return None if p.binder is None else getattr(p, p.binder)
 
 
 def free_names(p: Process) -> frozenset[str]:
@@ -224,29 +251,16 @@ def free_names(p: Process) -> frozenset[str]:
 def _free_names(p: Process) -> frozenset[str]:
     """Free names of ``p`` from the cached sets of its children."""
     # each union starts from a frozenset, so every result is one too
-    match p:
-        case Cut(x, _, parts):
-            out = frozenset()
-            for q in parts:
-                out |= free_names(q)
-            return out - {x}
-        case OutName(x, _, y, _, body) | ServerAccept(x, _, y, _, body) | ClientRequest(
-            x, _, y, _, body
-        ):
-            return (free_names(body) - {y}) | {x}
-        case InName(x, _, y, _, left, right):
-            return (free_names(left) - {y}) | free_names(right) | {x}
-        case OutEmpty(x, _, _, body) | SelL(x, _, _, body) | SelR(x, _, _, body):
-            return free_names(body) | {x}
-        case InEmpty(x, _, _):
-            return frozenset((x,))
-        case Case(x, _, _, left, right):
-            return free_names(left) | free_names(right) | {x}
-        case MsgSkipIn(x, _, _, _, body) | MsgSkipOut(x, _, _, _, body) | MsgRecv(
-            x, _, _, _, body
-        ) | MsgSend(x, _, _, _, body):
-            return free_names(body) | {x}
-    raise TypeError(p)
+    if isinstance(p, Cut):
+        out = frozenset()
+        for q in p.parts:
+            out |= free_names(q)
+        return out - {p.x}
+    out, y = frozenset((p.x,)), _bound(p)
+    for f in p.kids:
+        names = free_names(getattr(p, f))
+        out |= names - {y} if f in p.scope else names
+    return out
 
 
 def rename_free(p: Process, old: str, new: str) -> Process:
@@ -257,72 +271,31 @@ def rename_free(p: Process, old: str, new: str) -> Process:
     """
     if old == new or old not in free_names(p):
         return p
-
-    def rn(n: str) -> str:
-        return new if n == old else n
-
-    match p:
-        case Cut(x, ann, parts):
-            if x == new:
-                x2 = fresh_name(x)
-                parts = tuple(rename_free(q, x, x2) for q in parts)
-                x = x2
-            return Cut(x, ann, tuple(rename_free(q, old, new) for q in parts))
-        case OutName(x, rs, y, r, body) | ServerAccept(x, rs, y, r, body) | ClientRequest(
-            x, rs, y, r, body
-        ):
-            if y == new:
-                y2 = fresh_name(y)
-                body = rename_free(body, y, y2)
-                y = y2
-            body2 = body if y == old else rename_free(body, old, new)
-            return type(p)(rn(x), rs, y, r, body2)
-        case InName(x, rs, y, r, left, right):
-            if y == new:
-                y2 = fresh_name(y)
-                left = rename_free(left, y, y2)
-                y = y2
-            left2 = left if y == old else rename_free(left, old, new)
-            return InName(rn(x), rs, y, r, left2, rename_free(right, old, new))
-        case OutEmpty(x, rs, r, body):
-            return OutEmpty(rn(x), rs, r, rename_free(body, old, new))
-        case InEmpty(x, rs, r):
-            return InEmpty(rn(x), rs, r)
-        case SelL(x, rs, r, body):
-            return SelL(rn(x), rs, r, rename_free(body, old, new))
-        case SelR(x, rs, r, body):
-            return SelR(rn(x), rs, r, rename_free(body, old, new))
-        case Case(x, rs, r, left, right):
-            return Case(rn(x), rs, r, rename_free(left, old, new), rename_free(right, old, new))
-        case MsgSkipIn(x, rs, r, s, body) | MsgSkipOut(x, rs, r, s, body) | MsgRecv(
-            x, rs, r, s, body
-        ) | MsgSend(x, rs, r, s, body):
-            return type(p)(rn(x), rs, r, s, rename_free(body, old, new))
-    raise TypeError(p)
+    if isinstance(p, Cut):
+        x, parts = p.x, p.parts
+        if x == new:
+            x2 = fresh_name(x)
+            parts = tuple(rename_free(q, x, x2) for q in parts)
+            x = x2
+        return Cut(x, p.ann, tuple(rename_free(q, old, new) for q in parts))
+    changes = {"x": new} if p.x == old else {}
+    kids = dict(zip(p.kids, _children(p)))
+    y = _bound(p)
+    if y == new:
+        y2 = fresh_name(y)
+        for f in p.scope:
+            kids[f] = rename_free(kids[f], y, y2)
+        changes[p.binder] = y = y2
+    for f in p.kids:
+        if not (y == old and f in p.scope):
+            kids[f] = rename_free(kids[f], old, new)
+    return _rebuild(p, kids.values(), **changes)
 
 
 def strip_cut_annotations(p: Process) -> Process:
     """Drop the cut type annotations (reduction never reads them)."""
-    match p:
-        case Cut(x, _, parts):
-            return Cut(x, None, tuple(strip_cut_annotations(q) for q in parts))
-        case InName(x, rs, y, r, left, right):
-            return InName(x, rs, y, r, strip_cut_annotations(left), strip_cut_annotations(right))
-        case Case(x, rs, r, left, right):
-            return Case(x, rs, r, strip_cut_annotations(left), strip_cut_annotations(right))
-        case InEmpty():
-            return p
-        case OutName(x, rs, y, r, body) | ServerAccept(x, rs, y, r, body) | ClientRequest(
-            x, rs, y, r, body
-        ):
-            return type(p)(x, rs, y, r, strip_cut_annotations(body))
-        case OutEmpty(x, rs, r, body) | SelL(x, rs, r, body) | SelR(x, rs, r, body):
-            return type(p)(x, rs, r, strip_cut_annotations(body))
-        case MsgSkipIn(x, rs, r, s, body) | MsgSkipOut(x, rs, r, s, body) | MsgRecv(
-            x, rs, r, s, body
-        ) | MsgSend(x, rs, r, s, body):
-            return type(p)(x, rs, r, s, strip_cut_annotations(body))
-    raise TypeError(p)
+    # only a cut has an ``ann`` field; _rebuild ignores it elsewhere
+    return _rebuild(p, [strip_cut_annotations(q) for q in _children(p)], ann=None)
 
 
 # ---------------------------------------------------------------------------
@@ -330,64 +303,23 @@ def strip_cut_annotations(p: Process) -> Process:
 
 
 def _canon(p: Process, env: dict, depth: int):
-    def nm(n):
-        return env.get(n, ("f", n))
-
-    match p:
-        case Cut(x, ann, parts):
-            e2 = dict(env)
-            e2[x] = ("b", depth)
-            keys = sorted(_canon(q, e2, depth + 1) for q in parts)
-            return ("cut", formula_key(ann) if ann is not None else None, tuple(keys))
-        case OutName(x, rs, y, r, body):
-            e2 = dict(env)
-            e2[y] = ("b", depth)
-            return ("out", nm(x), str(rs), r, _canon(body, e2, depth + 1))
-        case InName(x, rs, y, r, left, right):
-            e2 = dict(env)
-            e2[y] = ("b", depth)
-            return (
-                "in",
-                nm(x),
-                str(rs),
-                r,
-                _canon(left, e2, depth + 1),
-                _canon(right, env, depth + 1),
-            )
-        case OutEmpty(x, rs, r, body):
-            return ("oute", nm(x), str(rs), r, _canon(body, env, depth + 1))
-        case InEmpty(x, rs, r):
-            return ("ine", nm(x), str(rs), r)
-        case SelL(x, rs, r, body):
-            return ("sell", nm(x), str(rs), r, _canon(body, env, depth + 1))
-        case SelR(x, rs, r, body):
-            return ("selr", nm(x), str(rs), r, _canon(body, env, depth + 1))
-        case Case(x, rs, r, left, right):
-            return (
-                "case",
-                nm(x),
-                str(rs),
-                r,
-                _canon(left, env, depth + 1),
-                _canon(right, env, depth + 1),
-            )
-        case ServerAccept(x, rs, y, r, body):
-            e2 = dict(env)
-            e2[y] = ("b", depth)
-            return ("srv", nm(x), str(rs), r, _canon(body, e2, depth + 1))
-        case ClientRequest(x, rs, y, r, body):
-            e2 = dict(env)
-            e2[y] = ("b", depth)
-            return ("req", nm(x), str(rs), r, _canon(body, e2, depth + 1))
-        case MsgSkipIn(x, rs, r, s, body):
-            return ("mski", nm(x), str(rs), r, s, _canon(body, env, depth + 1))
-        case MsgSkipOut(x, rs, r, s, body):
-            return ("msko", nm(x), str(rs), r, s, _canon(body, env, depth + 1))
-        case MsgRecv(x, rs, r, s, body):
-            return ("mrecv", nm(x), str(rs), r, s, _canon(body, env, depth + 1))
-        case MsgSend(x, rs, r, s, body):
-            return ("msend", nm(x), str(rs), r, s, _canon(body, env, depth + 1))
-    raise TypeError(p)
+    if isinstance(p, Cut):
+        e2 = dict(env)
+        e2[p.x] = ("b", depth)
+        keys = sorted(_canon(q, e2, depth + 1) for q in p.parts)
+        return ("cut", formula_key(p.ann) if p.ann is not None else None, tuple(keys))
+    inner = env
+    if p.binder is not None:
+        inner = dict(env)
+        inner[_bound(p)] = ("b", depth)
+    fixed = ("x", "rs", p.binder) + p.kids
+    return (
+        type(p).__name__,
+        env.get(p.x, ("f", p.x)),
+        str(p.rs),
+        *[getattr(p, f) for f in p.__match_args__ if f not in fixed],
+        *[_canon(getattr(p, f), inner if f in p.scope else env, depth + 1) for f in p.kids],
+    )
 
 
 def canonical_key(p: Process):
@@ -397,32 +329,6 @@ def canonical_key(p: Process):
 
 def alpha_equiv(p: Process, q: Process) -> bool:
     return canonical_key(p) == canonical_key(q)
-
-
-def _children(p: Process) -> list[Process]:
-    match p:
-        case Cut(_, _, parts):
-            return list(parts)
-        case InName(_, _, _, _, left, right) | Case(_, _, _, left, right):
-            return [left, right]
-        case InEmpty():
-            return []
-        case _:
-            return [p.body]
-
-
-def _rebuild(p: Process, children: list[Process]) -> Process:
-    match p:
-        case Cut(x, ann, _):
-            return Cut(x, ann, tuple(children))
-        case InName(x, rs, y, r, _, _):
-            return InName(x, rs, y, r, children[0], children[1])
-        case Case(x, rs, r, _, _):
-            return Case(x, rs, r, children[0], children[1])
-        case InEmpty():
-            return p
-        case _:
-            return replace(p, body=children[0])
 
 
 def _assoc_moves(p: Process):
@@ -541,40 +447,18 @@ def typecheck(p: Process, env: TypeEnv | None = None) -> TypingDerivation:
 
 def _first_roles(p: Process, x: str) -> RoleSet | None:
     """Role-set annotation on the first free header over ``x``."""
-    match p:
-        case Cut(y, _, parts):
-            if y == x:
-                return None
-            for q in parts:
-                rs = _first_roles(q, x)
-                if rs is not None:
-                    return rs
-            return None
-        case InEmpty(z, rs, _):
-            return rs if z == x else None
-        case OutName(z, rs, y, _, body) | ServerAccept(z, rs, y, _, body) | ClientRequest(
-            z, rs, y, _, body
-        ):
-            if z == x:
-                return rs
-            return None if y == x else _first_roles(body, x)
-        case InName(z, rs, y, _, left, right):
-            if z == x:
-                return rs
-            got = None if y == x else _first_roles(left, x)
-            return got if got is not None else _first_roles(right, x)
-        case Case(z, rs, _, left, right):
-            if z == x:
-                return rs
-            got = _first_roles(left, x)
-            return got if got is not None else _first_roles(right, x)
-        case OutEmpty(z, rs, _, body) | SelL(z, rs, _, body) | SelR(z, rs, _, body):
-            return rs if z == x else _first_roles(body, x)
-        case MsgSkipIn(z, rs, _, _, body) | MsgSkipOut(z, rs, _, _, body) | MsgRecv(
-            z, rs, _, _, body
-        ) | MsgSend(z, rs, _, _, body):
-            return rs if z == x else _first_roles(body, x)
-    raise TypeError(p)
+    if isinstance(p, Cut):
+        kids = () if p.x == x else p.parts
+    elif p.x == x:
+        return p.rs
+    else:
+        y = _bound(p)
+        kids = [getattr(p, f) for f in p.kids if not (y == x and f in p.scope)]
+    for q in kids:
+        rs = _first_roles(q, x)
+        if rs is not None:
+            return rs
+    return None
 
 
 def _tc(p: Process, env, base: RoleBase, path) -> TypingDerivation:
@@ -618,7 +502,8 @@ def _tc(p: Process, env, base: RoleBase, path) -> TypingDerivation:
             if r in rs:
                 raise ProcessTypeError(f"name output on {x} needs role {r} outside {rs}", path)
             y, body = _avoid(y, body, env)
-            prem_env = _env_without(env, x) + ((y, IFormula(rs, a.left)), (x, IFormula(rs, a.right)))
+            pair = ((y, IFormula(rs, a.left)), (x, IFormula(rs, a.right)))
+            prem_env = _env_without(env, x) + pair
             sub = _tc(body, prem_env, base, path + (0,))
             return TypingDerivation("tensor-neg", p, env, (sub,), subject=x, object_=y)
 
@@ -692,9 +577,7 @@ def _tc(p: Process, env, base: RoleBase, path) -> TypingDerivation:
             sub = _tc(body, _env_without(env, x) + ((y, IFormula(rs, a.body)),), base, path + (0,))
             return TypingDerivation("bang-neg-derelict", p, env, (sub,), subject=x, object_=y)
 
-        case MsgSkipIn(x, rs, r, s, body) | MsgSkipOut(x, rs, r, s, body) | MsgRecv(
-            x, rs, r, s, body
-        ) | MsgSend(x, rs, r, s, body):
+        case _Transfer(x, rs, r, s, body):
             f = _env_lookup(env, x)
             a = _expect_msg(f, x, rs, r, s, path)
             want = {
@@ -750,18 +633,17 @@ def _tc(p: Process, env, base: RoleBase, path) -> TypingDerivation:
                 if used is None:
                     raise ProcessTypeError("link role-set complements overlap", path)
                 part_rs[missing[0]] = used
-            rsets = [rs for rs in part_rs]
-            if not rl.is_partition_of_full([rl.complement(rs) for rs in rsets]):
+            if not rl.is_partition_of_full([rl.complement(rs) for rs in part_rs]):
                 raise ProcessTypeError(
                     "link role-set complements do not partition the base", path
                 )
             subs = []
             for k, q in enumerate(parts):
                 env_k = tuple((z, g) for z, g in env if z in free_names(q))
-                sub = _tc(q, env_k + ((x, IFormula(rsets[k], ann)),), base, path + (k,))
+                sub = _tc(q, env_k + ((x, IFormula(part_rs[k], ann)),), base, path + (k,))
                 subs.append(sub)
             return TypingDerivation(
-                "n-cut", p, env, tuple(subs), subject=x, rolesets=tuple(rsets)
+                "n-cut", p, env, tuple(subs), subject=x, rolesets=tuple(part_rs)
             )
 
     raise TypeError(p)
@@ -1066,63 +948,29 @@ def _principal(cut: Cut) -> StepResult | None:
 
 
 def _convert(cut: Cut, q: Process, rest: tuple[Process, ...]) -> StepResult | None:
+    """Push ``cut``, whose other parts are ``rest``, under the header ``q``."""
     x, ann = cut.x, cut.ann
-
-    def freshen(y, *bodies):
-        if y == x or any(y in free_names(t) for t in rest):
-            y2 = fresh_name(y)
-            return y2, [rename_free(b, y, y2) for b in bodies]
-        return y, list(bodies)
-
-    match q:
-        case OutName(z, rs, y, r, body):
-            y, (body,) = freshen(y, body)
-            return StepResult(
-                OutName(z, rs, y, r, Cut(x, ann, (body,) + rest)), "commute-out"
-            )
-        case InName(z, rs, y, r, left, right):
-            y, (left,) = freshen(y, left)
-            if x in free_names(left):
-                return StepResult(
-                    InName(z, rs, y, r, Cut(x, ann, (left,) + rest), right), "commute-in-l"
-                )
-            if x in free_names(right):
-                return StepResult(
-                    InName(z, rs, y, r, left, Cut(x, ann, (right,) + rest)), "commute-in-r"
-                )
+    if q.commute is None:
+        return None
+    kids = dict(zip(q.kids, _children(q)))
+    changes = {}
+    y = _bound(q)
+    if y is not None and (y == x or any(y in free_names(t) for t in rest)):
+        changes[q.binder] = y2 = fresh_name(y)
+        for f in q.scope:
+            kids[f] = rename_free(kids[f], y, y2)
+    if isinstance(q.commute, str):
+        into, rule = q.kids, q.commute
+    else:
+        for f, rule in zip(q.kids, q.commute):
+            if x in free_names(kids[f]):
+                into = (f,)
+                break
+        else:
             return None
-        case SelL(z, rs, r, body):
-            return StepResult(SelL(z, rs, r, Cut(x, ann, (body,) + rest)), "commute-sel")
-        case SelR(z, rs, r, body):
-            return StepResult(SelR(z, rs, r, Cut(x, ann, (body,) + rest)), "commute-sel")
-        case Case(z, rs, r, left, right):
-            return StepResult(
-                Case(z, rs, r, Cut(x, ann, (left,) + rest), Cut(x, ann, (right,) + rest)),
-                "commute-case",
-            )
-        case OutEmpty(z, rs, r, body):
-            return StepResult(OutEmpty(z, rs, r, Cut(x, ann, (body,) + rest)), "commute-oute")
-        case ServerAccept(z, rs, y, r, body):
-            y, (body,) = freshen(y, body)
-            return StepResult(
-                ServerAccept(z, rs, y, r, Cut(x, ann, (body,) + rest)), "commute-srv"
-            )
-        case ClientRequest(z, rs, y, r, body):
-            y, (body,) = freshen(y, body)
-            return StepResult(
-                ClientRequest(z, rs, y, r, Cut(x, ann, (body,) + rest)), "commute-req"
-            )
-        case MsgSkipIn(z, rs, r, s, body) | MsgSkipOut(z, rs, r, s, body) | MsgRecv(
-            z, rs, r, s, body
-        ) | MsgSend(z, rs, r, s, body):
-            return StepResult(
-                type(q)(z, rs, r, s, Cut(x, ann, (body,) + rest)), "commute-msg"
-            )
-        case InEmpty():
-            return None
-        case Cut():
-            return None
-    raise TypeError(q)
+    for f in into:
+        kids[f] = Cut(x, ann, (kids[f],) + rest)
+    return StepResult(_rebuild(q, kids.values(), **changes), rule)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import glob
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -163,3 +164,57 @@ def test_disjunctive_fixture_classification(name):
     with open(os.path.join(CORPUS, "disj", name + ".drv")) as f:
         d = parse_problem(f.read()).derivation
     assert checks(d, Calculus.DISJ) == name.endswith("-pos")
+
+
+# ---------------------------------------------------------------------------
+# field schemas
+
+
+def rule_classes(cls=Derivation):
+    """Every concrete rule class, skipping the shared mixins."""
+    for sub in cls.__subclasses__():
+        if not sub.__name__.startswith("_"):
+            yield sub
+        yield from rule_classes(sub)
+
+
+def corpus_nodes():
+    paths = glob.glob(os.path.join(CORPUS, "*.drv")) + glob.glob(
+        os.path.join(CORPUS, "disj", "*.drv")
+    )
+    stack = []
+    for path in paths:
+        with open(path) as f:
+            stack.append(parse_problem(f.read()).derivation)
+    while stack:
+        d = stack.pop()
+        yield d
+        stack.extend(d.premises)
+
+
+def test_every_rule_class_occurs_in_the_corpus():
+    seen = {type(d) for d in corpus_nodes()}
+    assert set(rule_classes()) <= seen
+
+
+@pytest.mark.parametrize("cls", list(rule_classes()), ids=lambda c: c.__name__)
+def test_rule_schema_names_own_fields(cls):
+    own = {f.name for f in fields(cls)}
+    assert set(cls.schema) <= own
+    indices = [i for idx in cls.schema.values() for i in idx]
+    assert set(indices) <= own
+    # each index field addresses exactly one premise
+    assert len(indices) == len(set(indices))
+
+
+def test_premises_follow_the_schema():
+    for d in corpus_nodes():
+        assert d.premises == tuple(getattr(d, f) for f in d.schema)
+        # rebuild sends exactly the index fields through their premise's map
+        shift = [{i: i + 1 for i in range(len(p.concl))} for p in d.premises]
+        shifted = d.rebuild(d.premises, shift)
+        indices = {i for idx in d.schema.values() for i in idx}
+        assert type(shifted) is type(d)
+        for f in d.__match_args__:
+            want = getattr(d, f) + 1 if f in indices else getattr(d, f)
+            assert getattr(shifted, f) == want

@@ -194,6 +194,15 @@ def test_cli_typecheck_run_sr(capsys):
     assert code == 0 and "status: ok" in out
 
 
+def test_cli_json_follows_the_subcommand(capsys):
+    unit3 = os.path.join(PROC, "unit3.pi")
+    code, out = run(capsys, "run", unit3, "--fuel", "10", "--json")
+    assert code == 0 and out.strip().split("\n")[-1].startswith("process: ")
+    # before the subcommand it is a usage error, not silently ignored
+    code, out = run(capsys, "--json", "run", unit3, "--fuel", "10")
+    assert code == 2 and out == ""
+
+
 def test_cli_typecheck_rejects(capsys):
     code, out = run(capsys, "typecheck", os.path.join(PROC, "neg-ncut.pi"))
     assert code == 1 and "ill-typed" in out

@@ -1,5 +1,6 @@
 import glob
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -22,6 +23,7 @@ from lmrl.processes import (
     ServerAccept,
     TypingDerivation,
     alpha_equiv,
+    canonical_key,
     check_subject_reduction,
     env_sequent,
     erase_to_sequent,
@@ -37,7 +39,7 @@ from lmrl.processes import (
     td_uses_msg,
     typecheck,
 )
-from lmrl.syntax import Bang, IFormula, One, Tensor
+from lmrl.syntax import Bang, IFormula, One, Tensor, fresh_name
 from worlds import deep_session
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus", "proc")
@@ -77,6 +79,13 @@ def test_rename_free_capture_avoiding():
     # the binder moved out of the way
     assert isinstance(q, OutName) and q.y != "y"
     assert free_names(q) == {"x", "y"}
+
+
+def test_rename_free_stops_at_a_shadowing_binder():
+    # y is bound in the left branch and free in the right one
+    p = InName("x", S0, "y", 0, InEmpty("y", S0, 0), InEmpty("y", S0, 0))
+    q = rename_free(p, "y", "b")
+    assert q.left is p.left and q.right == InEmpty("b", S0, 0)
 
 
 def subterms(p):
@@ -435,3 +444,42 @@ def test_single_part_cut_reduces():
     assert rep.ok and rep.cut_free and rep.progress_ok
     rules = [t.rule for t in normalize(p, 100, keep_trace=True).trace]
     assert rules[0] == "tensor"
+
+
+# ---------------------------------------------------------------------------
+# field schemas
+
+
+def process_classes(cls=processes.Process):
+    """Every concrete constructor, skipping the shared layout bases."""
+    for sub in cls.__subclasses__():
+        if not sub.__name__.startswith("_"):
+            yield sub
+        yield from process_classes(sub)
+
+
+def corpus_subterms():
+    for name in ALL:
+        yield from subterms(load(name)[0])
+
+
+def test_every_constructor_occurs_in_the_corpus():
+    seen = {type(q) for q in corpus_subterms()}
+    assert set(process_classes()) <= seen
+
+
+@pytest.mark.parametrize("cls", list(process_classes()), ids=lambda c: c.__name__)
+def test_process_schema_names_own_fields(cls):
+    own = {f.name for f in fields(cls)}
+    assert set(cls.kids) <= own and set(cls.scope) <= set(cls.kids)
+    assert (cls.binder is not None) == bool(cls.scope)
+    assert cls.binder is None or cls.binder in own
+
+
+def test_rename_free_round_trip_on_corpus_subterms():
+    for p in corpus_subterms():
+        for a in sorted(free_names(p)):
+            b = fresh_name("b")
+            q = rename_free(p, a, b)
+            assert free_names(q) == (free_names(p) - {a}) | {b}
+            assert canonical_key(rename_free(q, b, a)) == canonical_key(p)
