@@ -10,6 +10,7 @@ from lmrl import roles as rl
 from lmrl.cli import main
 from lmrl.parser import (
     Cursor,
+    DerivationFormError,
     ParseError,
     parse_formula_text,
     parse_problem,
@@ -94,6 +95,115 @@ def test_parse_errors_are_positioned():
     with pytest.raises(ParseError) as err:
         parse_problem("base 2\n|- [{0,1,2}] a")
     assert err.value.line == 2
+
+
+# ---------------------------------------------------------------------------
+# rejection paths: one malformed input per way a node or header can fail
+
+LEAF = "(rule id :concl |- [{0}] a, [{1}] a)"
+
+
+def _nested(node: str) -> str:
+    # ``node`` is the only premise of a valid one-neg step, at line 3, column 3
+    return (
+        "base 2\n(rule one-neg :major 2 :concl |- [{0}] a, [{1}] a, [{1}] one[0]\n  "
+        + node
+        + ")\n"
+    )
+
+
+BAD_NODES = [
+    # wrong arity
+    ("base 2\n(rule one-neg :major 2 :concl |- [{0}] a, [{1}] a, [{1}] one[0])\n",
+     "2:1: one-neg takes 1 premise(s)"),
+    (_nested(f"(rule id :concl |- [{{0}}] a, [{{1}}] a {LEAF})"), "3:3: id takes 0 premise(s)"),
+    (_nested(f"(rule with-pos :major 2 :concl |- [{{0}}] a, [{{1}}] a {LEAF})"),
+     "3:3: with-pos takes 2 premise(s)"),
+    # missing and out-of-range :major
+    (_nested(f"(rule one-neg :concl |- [{{0}}] a, [{{1}}] a, [{{1}}] one[0] {LEAF})"),
+     "3:3: rule needs a valid :major index"),
+    (_nested(f"(rule one-neg :major 3 :concl |- [{{0}}] a, [{{1}}] a, [{{1}}] one[0] {LEAF})"),
+     "3:3: rule needs a valid :major index"),
+    # wrong major connective
+    (_nested(f"(rule one-neg :major 1 :concl |- [{{1}}] one[0], [{{0}}] a, [{{1}}] a {LEAF})"),
+     "3:3: major is not a unit"),
+    (_nested(f"(rule tensor-neg :major 0 :concl |- [{{0}}] a, [{{1}}] a {LEAF})"),
+     "3:3: major is not a tensor"),
+    (_nested(f"(rule with-neg-l :major 1 :concl |- [{{0}}] a, [{{1}}] a {LEAF})"),
+     "3:3: major is not an offer type"),
+    (_nested(f"(rule bang-pos :major 1 :concl |- [{{0}}] a, [{{1}}] a {LEAF})"),
+     "3:3: major is not banged"),
+    (_nested(f"(rule bang-neg-derelict :major 0 :concl |- [{{0}}] a, [{{1}}] a {LEAF})"),
+     "3:3: major is not banged"),
+    (_nested(f"(rule forall-neg :major 1 :witness c :concl |- [{{0}}] a, [{{1}}] a {LEAF})"),
+     "3:3: needs a quantified major and :witness"),
+    (_nested(f"(rule forall-pos :major 1 :eigen z :concl |- [{{0}}] a, [{{1}}] a {LEAF})"),
+     "3:3: needs a quantified major and :eigen"),
+    # a premise lacking the occurrence the rule consumes
+    (_nested(f"(rule tensor-neg :major 0 :concl |- [{{1}}] a *[0] b {LEAF})"),
+     "3:3: premise conclusion lacks the needed occurrence"),
+    ("base 2\n(rule tensor-pos :major 2 :concl |- [{0}] a, [{0}] a, [{1}] a *[0] b\n"
+     f"  {LEAF}\n  {LEAF})\n",
+     "2:1: premise conclusion lacks the needed occurrence"),
+    (_nested(f"(rule bang-neg-contract :major 0 :concl |- [{{1}}] ![0] a {LEAF})"),
+     "3:3: premise conclusion lacks the needed occurrence"),
+    # forall rules without their term
+    (_nested(f"(rule forall-neg :major 0 :concl |- [{{1}}] all[0] x. a {LEAF})"),
+     "3:3: needs a quantified major and :witness"),
+    (_nested(f"(rule forall-pos :major 0 :concl |- [{{0}}] all[0] x. a {LEAF})"),
+     "3:3: needs a quantified major and :eigen"),
+    # unknown rule, empty identity, one-pos over anything but one unit
+    (_nested(f"(rule cut :major 0 :concl |- [{{0}}] a {LEAF})"), "3:3: unknown rule 'cut'"),
+    ("base 2\n(rule id :concl |-)\n", "2:1: empty identity"),
+    ("base 2\n(rule one-pos :concl |- [{0}] a)\n", "2:1: one-pos concludes a single unit"),
+    ("base 2\n(rule one-pos :concl |- [{0}] one[0], [{0}] one[0])\n",
+     "2:1: one-pos concludes a single unit"),
+]
+
+
+@pytest.mark.parametrize("text,message", BAD_NODES)
+def test_malformed_rule_application_rejected(text, message, capsys, tmp_path):
+    with pytest.raises(DerivationFormError) as err:
+        parse_problem(text)
+    assert str(err.value) == message
+    p = tmp_path / "bad.drv"
+    p.write_text(text)
+    code, out = run(capsys, "check", str(p))
+    assert code == 1 and "status: failed" in out and message in out
+
+
+BAD_HEADERS = [
+    # a single role where a transfer header needs a role pair
+    ("x{0}[send]@1.x{0}()@0.end", 1, 12),
+    ("x{0}(recv)@{0}.x{0}()@0.end", 1, 14),
+    # empty input continues with end only
+    ("x{0}()@0.x{0}()@0.end", 1, 10),
+    ("x{0}()@0.(x{0}()@0.end)", 1, 10),
+    # an offer separates its branches with a comma
+    ("x{0}(case)@0.( x{0}()@0.end | x{0}()@0.end )", 1, 29),
+    # name input separates its branches with a bar
+    ("x{0}(y)@0.( y{0}()@0.end , x{0}()@0.end )", 1, 26),
+    # an unknown bracket word reads as a bound name, so the role is wrong
+    ("x{0}[sned]@{0,1}.x{0}()@0.end", 1, 12),
+    # a bracket the sigil does not take, a sigil without a bound name
+    ("!x{0}[y]@0.y{0}()@0.end", 1, 6),
+    ("?x{0}(y)@0.y{0}()@0.end", 1, 6),
+    ("!x{0}()@0.x{0}()@0.end", 1, 7),
+    ("x{0}{1}@0.end", 1, 5),
+]
+
+
+@pytest.mark.parametrize("proc,line,col", BAD_HEADERS)
+def test_malformed_process_header_rejected(proc, line, col, capsys, tmp_path):
+    text = f"base 2\nproc {proc}\n"
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    # reported on the file's second line, ``col`` columns into the process
+    assert (err.value.line, err.value.col) == (line + 1, col + 5)
+    p = tmp_path / "bad.pi"
+    p.write_text(text)
+    code, out = run(capsys, "typecheck", str(p))
+    assert code == 2 and f"{line + 1}:{col + 5}:" in out
 
 
 def test_role_out_of_base_rejected():
