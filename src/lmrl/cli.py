@@ -12,6 +12,7 @@ pair per line; no quoting, values verbatim).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -368,10 +369,15 @@ def main(argv=None) -> int:
     return code
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first command and kept for the rest."""
+    return build_parser()
+
+
 def _dispatch(argv) -> int:
-    ap = build_parser()
     try:
-        ns = ap.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     out = Out(ns.json)

@@ -35,6 +35,8 @@ from .derivation import (
     DWithPos,
     Derivation,
     MalformedDerivation,
+    MissingOccurrence,
+    build_rule,
     dualize,
     height,
     is_query_shaped,
@@ -952,7 +954,10 @@ def prove_bounded(
                 seen.add(k)
                 pool.append(t)
     memo_fail: dict = {}
-    return _prove(goal, calc, depth, tuple(pool), memo_fail)
+    try:
+        return _prove(goal, calc, depth, tuple(pool), memo_fail)
+    except MissingOccurrence:
+        raise AssertionError("occurrence vanished from subproof conclusion") from None
 
 
 def _goal_key(goal: Sequent):
@@ -993,22 +998,6 @@ def _prove(goal, calc, depth, pool, memo_fail):
     return None
 
 
-def _find_occ(seq: Sequent, *wanted: IFormula) -> list[int]:
-    """Positions of the wanted occurrences (by value, distinct positions)."""
-    used: set[int] = set()
-    out = []
-    for w in wanted:
-        k = w.key()
-        for p, f in enumerate(seq):
-            if p not in used and f.key() == k:
-                used.add(p)
-                out.append(p)
-                break
-        else:
-            raise AssertionError("occurrence vanished from subproof conclusion")
-    return out
-
-
 def _prove_steps(goal, calc, depth, pool, memo_fail):
     items = goal.items
     n = len(items)
@@ -1020,17 +1009,14 @@ def _prove_steps(goal, calc, depth, pool, memo_fail):
                 if not _member(calc, r, f.roles):
                     sub = _prove(rest, calc, depth - 1, pool, memo_fail)
                     if sub is not None:
-                        return DOneNeg(f.roles, r, sub)
+                        return build_rule("one-neg", f, [sub])
             case Tensor(r, a, b):
+                fa, fb = IFormula(f.roles, a), IFormula(f.roles, b)
                 if not _member(calc, r, f.roles):
-                    fa, fb = IFormula(f.roles, a), IFormula(f.roles, b)
-                    prem = rest.extended(fa, fb)
-                    sub = _prove(prem, calc, depth - 1, pool, memo_fail)
+                    sub = _prove(rest.extended(fa, fb), calc, depth - 1, pool, memo_fail)
                     if sub is not None:
-                        pa, pb = _find_occ(sub.concl, fa, fb)
-                        return DTensorNeg(r, sub, pa, pb)
+                        return build_rule("tensor-neg", f, [sub])
                 elif len(rest) <= _SPLIT_CAP:
-                    fa, fb = IFormula(f.roles, a), IFormula(f.roles, b)
                     for mask in range(1 << len(rest)):
                         g1 = [rest[q] for q in range(len(rest)) if mask >> q & 1]
                         g2 = [rest[q] for q in range(len(rest)) if not mask >> q & 1]
@@ -1039,63 +1025,52 @@ def _prove_steps(goal, calc, depth, pool, memo_fail):
                             continue
                         s2 = _prove(Sequent(tuple(g2) + (fb,)), calc, depth - 1, pool, memo_fail)
                         if s2 is not None:
-                            (pa,) = _find_occ(s1.concl, fa)
-                            (pb,) = _find_occ(s2.concl, fb)
-                            return DTensorPos(r, s1, pa, s2, pb)
+                            return build_rule("tensor-pos", f, [s1, s2])
             case With(r, a, b):
                 fa, fb = IFormula(f.roles, a), IFormula(f.roles, b)
                 if not _member(calc, r, f.roles):
                     sub = _prove(rest.extended(fa), calc, depth - 1, pool, memo_fail)
                     if sub is not None:
-                        (pa,) = _find_occ(sub.concl, fa)
-                        return DWithNegL(r, b, sub, pa)
+                        return build_rule("with-neg-l", f, [sub])
                     sub = _prove(rest.extended(fb), calc, depth - 1, pool, memo_fail)
                     if sub is not None:
-                        (pb,) = _find_occ(sub.concl, fb)
-                        return DWithNegR(r, a, sub, pb)
+                        return build_rule("with-neg-r", f, [sub])
                 else:
                     s1 = _prove(rest.extended(fa), calc, depth - 1, pool, memo_fail)
                     if s1 is not None:
                         s2 = _prove(rest.extended(fb), calc, depth - 1, pool, memo_fail)
                         if s2 is not None:
-                            (pa,) = _find_occ(s1.concl, fa)
-                            (pb,) = _find_occ(s2.concl, fb)
-                            return DWithPos(r, s1, pa, s2, pb)
+                            return build_rule("with-pos", f, [s1, s2])
             case Bang(r, a):
                 fa = IFormula(f.roles, a)
                 if _member(calc, r, f.roles):
                     if all(is_query_shaped(g, calc) for g in rest):
                         sub = _prove(rest.extended(fa), calc, depth - 1, pool, memo_fail)
                         if sub is not None:
-                            (pa,) = _find_occ(sub.concl, fa)
-                            return DBangPos(r, sub, pa)
+                            return build_rule("bang-pos", f, [sub])
                 else:
                     sub = _prove(rest, calc, depth - 1, pool, memo_fail)
                     if sub is not None:
-                        return DBangNegWeaken(r, f.roles, a, sub)
+                        return build_rule("bang-neg-weaken", f, [sub])
                     sub = _prove(rest.extended(fa), calc, depth - 1, pool, memo_fail)
                     if sub is not None:
-                        (pa,) = _find_occ(sub.concl, fa)
-                        return DBangNegDerelict(r, sub, pa)
+                        return build_rule("bang-neg-derelict", f, [sub])
                     sub = _prove(rest.extended(f, f), calc, depth - 1, pool, memo_fail)
                     if sub is not None:
-                        pa, pb = _find_occ(sub.concl, f, f)
-                        return DBangNegContract(sub, pa, pb)
+                        return build_rule("bang-neg-contract", f, [sub])
             case Forall(r, x, a):
                 if not _member(calc, r, f.roles):
                     for t in pool:
                         fi = IFormula(f.roles, subst_formula(a, x, t))
                         sub = _prove(rest.extended(fi), calc, depth - 1, pool, memo_fail)
                         if sub is not None:
-                            (pa,) = _find_occ(sub.concl, fi)
-                            return DForallNeg(r, x, a, t, sub, pa)
+                            return build_rule("forall-neg", f, [sub], witness=t)
                 else:
                     z = fresh_name(x)
                     fi = IFormula(f.roles, subst_formula(a, x, Var(z)))
                     sub = _prove(rest.extended(fi), calc, depth - 1, pool, memo_fail)
                     if sub is not None:
-                        (pa,) = _find_occ(sub.concl, fi)
-                        return DForallPos(r, z, sub, pa)
+                        return build_rule("forall-pos", f, [sub], eigen=z)
             case Atom():
                 pass
     return None

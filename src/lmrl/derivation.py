@@ -31,6 +31,7 @@ from .syntax import (
     Sequent,
     Tensor,
     Term,
+    Var,
     With,
     formula_key,
     free_vars,
@@ -60,20 +61,44 @@ def _require(cond: bool, msg: str):
         raise MalformedDerivation(msg)
 
 
+class MissingOccurrence(MalformedDerivation):
+    """A premise conclusion lacks an occurrence its rule consumes."""
+
+    def __init__(self, value: IFormula):
+        self.value = value
+        super().__init__("premise conclusion lacks the needed occurrence")
+
+
+# rule name -> node class, filled as the rule classes are defined
+RULES: dict[str, type["Derivation"]] = {}
+
+
 class Derivation:
     """Base node.  Subclasses set ``rule`` and implement ``_compute``.
 
     ``schema`` maps each premise field, in premise order, to the index fields
     that address occurrences in that premise's conclusion.  ``rebuild`` and
     ``_premise_removed`` are derived from it.
+
+    A rule with a major occurrence also states its figure for ``build_rule``:
+    ``connective``, the major's connective (None: any), and ``parts``, which
+    names the part of the major each index field addresses in its premise
+    and each other field holds when the connective names that part
+    differently.  A part is an attribute of the major's formula, ``major``
+    for the formula itself, or ``instance`` for a quantifier body
+    instantiated with the rule's witness or eigenvariable.
     """
 
     rule: str = "?"
     premises: tuple["Derivation", ...] = ()
     schema: dict[str, tuple[str, ...]] = {}
+    connective: type[Formula] | None = None
+    parts: dict[str, str] = {}
 
     def __init_subclass__(cls, **kw):
         super().__init_subclass__(**kw)
+        if "rule" in cls.__dict__:
+            RULES[cls.rule] = cls
         # fixed once per class: the index fields of each premise, and for
         # rebuild the (argument slot, premise) pairs of the premise fields and
         # of the index fields
@@ -147,6 +172,7 @@ class _OnePremise(Derivation):
 
 class _TwoPremises(Derivation):
     schema = {"left": ("i",), "right": ("j",)}
+    parts = {"i": "left", "j": "right"}
 
     @property
     def premises(self):
@@ -158,6 +184,7 @@ class _OneOccurrence(_OnePremise):
     ``_major`` builds from its body, under the same role set."""
 
     schema = {"premise": ("i",)}
+    parts = {"i": "body"}
 
     def _compute(self):
         items = self.premise.concl.items
@@ -204,6 +231,7 @@ class DOneNeg(_OnePremise):
     r: int
     premise: Derivation
     rule = "one-neg"
+    connective = One
 
     def _compute(self):
         return list(self.premise.concl.items) + [IFormula(self.rs, One(self.r))]
@@ -216,7 +244,9 @@ class DTensorNeg(_OnePremise):
     i: int
     j: int
     rule = "tensor-neg"
+    connective = Tensor
     schema = {"premise": ("i", "j")}
+    parts = _TwoPremises.parts
 
     def _compute(self):
         items = self.premise.concl.items
@@ -236,6 +266,7 @@ class DTensorPos(_TwoPremises):
     right: Derivation
     j: int
     rule = "tensor-pos"
+    connective = Tensor
 
     def _compute(self):
         li, ri = self.left.concl.items, self.right.concl.items
@@ -254,6 +285,8 @@ class DWithNegL(_OneOccurrence):
     premise: Derivation
     i: int
     rule = "with-neg-l"
+    connective = With
+    parts = {"i": "left", "other": "right"}
 
     def _major(self, body):
         return With(self.r, body, self.other)
@@ -266,6 +299,8 @@ class DWithNegR(_OneOccurrence):
     premise: Derivation
     i: int
     rule = "with-neg-r"
+    connective = With
+    parts = {"i": "right", "other": "left"}
 
     def _major(self, body):
         return With(self.r, self.other, body)
@@ -279,6 +314,7 @@ class DWithPos(_TwoPremises):
     right: Derivation
     j: int
     rule = "with-pos"
+    connective = With
 
     def _compute(self):
         li, ri = self.left.concl.items, self.right.concl.items
@@ -317,6 +353,7 @@ class DBangPos(_OneOccurrence):
     premise: Derivation
     i: int
     rule = "bang-pos"
+    connective = Bang
 
     def _major(self, body):
         return Bang(self.r, body)
@@ -329,6 +366,7 @@ class DBangNegWeaken(_OnePremise):
     body: Formula
     premise: Derivation
     rule = "bang-neg-weaken"
+    connective = Bang
 
     def _compute(self):
         return list(self.premise.concl.items) + [IFormula(self.rs, Bang(self.r, self.body))]
@@ -340,6 +378,7 @@ class DBangNegDerelict(_OneOccurrence):
     premise: Derivation
     i: int
     rule = "bang-neg-derelict"
+    connective = Bang
 
     def _major(self, body):
         return Bang(self.r, body)
@@ -352,6 +391,7 @@ class DBangNegContract(_OnePremise):
     j: int
     rule = "bang-neg-contract"
     schema = {"premise": ("i", "j")}
+    parts = {"i": "major", "j": "major"}
 
     def _compute(self):
         items = self.premise.concl.items
@@ -373,6 +413,8 @@ class DForallNeg(_OneOccurrence):
     premise: Derivation
     i: int
     rule = "forall-neg"
+    connective = Forall
+    parts = {"i": "instance"}
 
     def _major(self, body):
         return Forall(self.r, self.var, self.body)
@@ -385,9 +427,71 @@ class DForallPos(_OneOccurrence):
     premise: Derivation
     i: int
     rule = "forall-pos"
+    connective = Forall
+    parts = {"i": "instance"}
 
     def _major(self, body):
         return Forall(self.r, self.eigen, body)
+
+
+# ---------------------------------------------------------------------------
+# building a rule instance from its major
+
+_SHAPES = {One: "a unit", Tensor: "a tensor", With: "an offer type", Bang: "banged"}
+
+
+def find_occurrence(seq: Sequent, value: IFormula, used: set[int]) -> int:
+    """First position of ``seq`` outside ``used`` that holds ``value``; the
+    position is added to ``used``."""
+    k = value.key()
+    for pos, f in enumerate(seq):
+        if pos not in used and f.key() == k:
+            used.add(pos)
+            return pos
+    raise MissingOccurrence(value)
+
+
+def build_rule(
+    rule: str,
+    major: IFormula,
+    premises,
+    witness: Term | None = None,
+    eigen: str | None = None,
+) -> Derivation:
+    """The ``rule`` node concluding ``major`` from ``premises``.
+
+    Checks the major's connective, takes the rule's own fields from the
+    major, and finds each occurrence the rule consumes in its premise's
+    conclusion by value, at the first unused position (one ``used`` set per
+    premise).  A forall rule also needs its ``witness`` or ``eigen``.
+    Raises MalformedDerivation on a wrong major and MissingOccurrence when a
+    premise lacks an occurrence.
+    """
+    cls = RULES[rule]
+    body = major.body
+    fields = {"rs": major.roles, "witness": witness, "eigen": eigen}
+    term = next((f for f in ("witness", "eigen") if f in cls.__match_args__), None)
+    wrong = cls.connective is not None and not isinstance(body, cls.connective)
+    if term is not None and (wrong or fields[term] is None):
+        raise MalformedDerivation(f"needs a quantified major and :{term}")
+    if wrong:
+        raise MalformedDerivation(f"major is not {_SHAPES[cls.connective]}")
+
+    def part(name: str) -> Formula:
+        if name == "major":
+            return body
+        if name == "instance":
+            return subst_formula(body.body, body.var, witness if term == "witness" else Var(eigen))
+        return getattr(body, name)
+
+    for k, (field, indices) in enumerate(cls.schema.items()):
+        fields[field] = premises[k]
+        used: set[int] = set()
+        for i in indices:
+            want = IFormula(major.roles, part(cls.parts[i]))
+            fields[i] = find_occurrence(premises[k].concl, want, used)
+    args = [fields[f] if f in fields else part(cls.parts.get(f, f)) for f in cls.__match_args__]
+    return cls(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,7 @@
 """Tokenizer and recursive-descent parsers for the toolkit's text forms.
 
-Grammar summary (whitespace-insensitive, ``#`` comments to end of line):
-
-  roleset   := "{" nat ("," nat)* "}" | "{}" | "~" roleset
-  term      := ident | ident "(" term ("," term)* ")"
-  formula   := infix
-  infix     := prefix (("*[" nat "]" | "&[" nat "]") prefix)*     (left assoc)
-  prefix    := ident ["(" terms ")"]            -- atom
-             | "one[" nat "]"
-             | "![" nat "]" prefix-or-paren
-             | "msg[" nat "," nat "]" prefix-or-paren
-             | "all[" nat "]" ident "." formula
-             | "(" formula ")"
-  iformula  := "[" roleset "]" formula
-  sequent   := "|-" [iformula ("," iformula)*]
-  derivation:= "(rule" name [":major" nat] [":witness" term | ":eigen" ident]
-               ":concl" sequent derivation* ")"
-  process   := "new" ident [":" formula] ".(" process ("|" process)* ")"
-             | ident roleset hdr "@" roleref "." cont
-  problem   := ("base" nat | "base omega") (sequent | derivation
-             | ["env" assoc ("," assoc)*] "proc" process)
-
-Header forms: ``[y]`` name output, ``(y)`` name input (continuation
-``(P|Q)``), ``[]``/``()`` empty output/input (input continues ``end``),
-``[inl]``/``[inr]``/``(case)`` selection and offer (offer continues
-``(P,Q)``), ``!x(y)``/``?x[y]`` server accept and client request, and the
-transfer headers ``[skip] (skip) [send] (recv)`` at a role pair ``{r,s}``.
+GRAMMAR.md describes the grammar; process headers are read from the header
+table in printer.py, the same one that prints them.
 """
 
 from __future__ import annotations
@@ -48,45 +24,10 @@ from .syntax import (
     Term,
     Var,
     With,
-    formula_key,
-    subst_formula,
 )
-from .derivation import (
-    DBangNegContract,
-    DBangNegDerelict,
-    DBangNegWeaken,
-    DBangPos,
-    DForallNeg,
-    DForallPos,
-    DId,
-    DOneNeg,
-    DOnePos,
-    DTensorNeg,
-    DTensorPos,
-    DWithNegL,
-    DWithNegR,
-    DWithPos,
-    Derivation,
-    MalformedDerivation,
-)
-from .processes import (
-    Case,
-    ClientRequest,
-    Cut,
-    InEmpty,
-    InName,
-    Msg,
-    MsgRecv,
-    MsgSend,
-    MsgSkipIn,
-    MsgSkipOut,
-    OutEmpty,
-    OutName,
-    Process,
-    SelL,
-    SelR,
-    ServerAccept,
-)
+from .derivation import RULES, DId, DOnePos, Derivation, MalformedDerivation, build_rule
+from .printer import PROCESS_HEADERS
+from .processes import Cut, Msg, Process
 
 
 class ParseError(Exception):
@@ -318,17 +259,6 @@ class DerivationFormError(Exception):
     """S-expression is readable but not a rule instance."""
 
 
-def _find_item(seq: Sequent, value: IFormula, used: set[int], tok: Token) -> int:
-    k = value.key()
-    for pos, f in enumerate(seq):
-        if pos not in used and f.key() == k:
-            used.add(pos)
-            return pos
-    raise DerivationFormError(
-        f"{tok.line}:{tok.col}: premise conclusion lacks the needed occurrence"
-    )
-
-
 def parse_derivation(c: Cursor, base: RoleBase) -> Derivation:
     tok = c.eat("(")
     c.eat("rule")
@@ -356,8 +286,8 @@ def parse_derivation(c: Cursor, base: RoleBase) -> Derivation:
     while c.at("("):
         premises.append(parse_derivation(c, base))
     c.eat(")")
-    d = _build_node(name, stated, major, witness, eigen, premises, tok)
     try:
+        d = _build_node(name, stated, major, witness, eigen, premises)
         computed = d.concl
     except MalformedDerivation as e:
         raise DerivationFormError(f"{tok.line}:{tok.col}: {e}")
@@ -368,125 +298,35 @@ def parse_derivation(c: Cursor, base: RoleBase) -> Derivation:
     return d
 
 
-def _need_major(stated: Sequent, major, tok) -> IFormula:
-    if major is None or not (0 <= major < len(stated)):
-        raise DerivationFormError(f"{tok.line}:{tok.col}: rule needs a valid :major index")
-    return stated[major]
-
-
-def _build_node(name, stated, major, witness, eigen, premises, tok) -> Derivation:
-    def arity(n):
-        if len(premises) != n:
-            raise DerivationFormError(f"{tok.line}:{tok.col}: {name} takes {n} premise(s)")
-
-    match name:
-        case "id":
-            arity(0)
-            if not stated.items:
-                raise DerivationFormError(f"{tok.line}:{tok.col}: empty identity")
-            return DId(stated[0].body, tuple(f.roles for f in stated))
-        case "one-pos":
-            arity(0)
-            if len(stated) != 1 or not isinstance(stated[0].body, One):
-                raise DerivationFormError(f"{tok.line}:{tok.col}: one-pos concludes a single unit")
-            return DOnePos(stated[0].roles, stated[0].body.r)
-        case "one-neg":
-            arity(1)
-            m = _need_major(stated, major, tok)
-            if not isinstance(m.body, One):
-                raise DerivationFormError(f"{tok.line}:{tok.col}: major is not a unit")
-            return DOneNeg(m.roles, m.body.r, premises[0])
-        case "tensor-neg":
-            arity(1)
-            m = _need_major(stated, major, tok)
-            if not isinstance(m.body, Tensor):
-                raise DerivationFormError(f"{tok.line}:{tok.col}: major is not a tensor")
-            used: set[int] = set()
-            pa = _find_item(premises[0].concl, IFormula(m.roles, m.body.left), used, tok)
-            pb = _find_item(premises[0].concl, IFormula(m.roles, m.body.right), used, tok)
-            return DTensorNeg(m.body.r, premises[0], pa, pb)
-        case "tensor-pos":
-            arity(2)
-            m = _need_major(stated, major, tok)
-            if not isinstance(m.body, Tensor):
-                raise DerivationFormError(f"{tok.line}:{tok.col}: major is not a tensor")
-            pa = _find_item(premises[0].concl, IFormula(m.roles, m.body.left), set(), tok)
-            pb = _find_item(premises[1].concl, IFormula(m.roles, m.body.right), set(), tok)
-            return DTensorPos(m.body.r, premises[0], pa, premises[1], pb)
-        case "with-neg-l":
-            arity(1)
-            m = _need_major(stated, major, tok)
-            if not isinstance(m.body, With):
-                raise DerivationFormError(f"{tok.line}:{tok.col}: major is not an offer type")
-            pa = _find_item(premises[0].concl, IFormula(m.roles, m.body.left), set(), tok)
-            return DWithNegL(m.body.r, m.body.right, premises[0], pa)
-        case "with-neg-r":
-            arity(1)
-            m = _need_major(stated, major, tok)
-            if not isinstance(m.body, With):
-                raise DerivationFormError(f"{tok.line}:{tok.col}: major is not an offer type")
-            pb = _find_item(premises[0].concl, IFormula(m.roles, m.body.right), set(), tok)
-            return DWithNegR(m.body.r, m.body.left, premises[0], pb)
-        case "with-pos":
-            arity(2)
-            m = _need_major(stated, major, tok)
-            if not isinstance(m.body, With):
-                raise DerivationFormError(f"{tok.line}:{tok.col}: major is not an offer type")
-            pa = _find_item(premises[0].concl, IFormula(m.roles, m.body.left), set(), tok)
-            pb = _find_item(premises[1].concl, IFormula(m.roles, m.body.right), set(), tok)
-            return DWithPos(m.body.r, premises[0], pa, premises[1], pb)
-        case "bang-pos":
-            arity(1)
-            m = _need_major(stated, major, tok)
-            if not isinstance(m.body, Bang):
-                raise DerivationFormError(f"{tok.line}:{tok.col}: major is not banged")
-            pa = _find_item(premises[0].concl, IFormula(m.roles, m.body.body), set(), tok)
-            return DBangPos(m.body.r, premises[0], pa)
-        case "bang-neg-weaken":
-            arity(1)
-            m = _need_major(stated, major, tok)
-            if not isinstance(m.body, Bang):
-                raise DerivationFormError(f"{tok.line}:{tok.col}: major is not banged")
-            return DBangNegWeaken(m.body.r, m.roles, m.body.body, premises[0])
-        case "bang-neg-derelict":
-            arity(1)
-            m = _need_major(stated, major, tok)
-            if not isinstance(m.body, Bang):
-                raise DerivationFormError(f"{tok.line}:{tok.col}: major is not banged")
-            pa = _find_item(premises[0].concl, IFormula(m.roles, m.body.body), set(), tok)
-            return DBangNegDerelict(m.body.r, premises[0], pa)
-        case "bang-neg-contract":
-            arity(1)
-            m = _need_major(stated, major, tok)
-            used = set()
-            pa = _find_item(premises[0].concl, m, used, tok)
-            pb = _find_item(premises[0].concl, m, used, tok)
-            return DBangNegContract(premises[0], pa, pb)
-        case "forall-neg":
-            arity(1)
-            m = _need_major(stated, major, tok)
-            if not isinstance(m.body, Forall) or witness is None:
-                raise DerivationFormError(
-                    f"{tok.line}:{tok.col}: needs a quantified major and :witness"
-                )
-            inst = subst_formula(m.body.body, m.body.var, witness)
-            pa = _find_item(premises[0].concl, IFormula(m.roles, inst), set(), tok)
-            return DForallNeg(m.body.r, m.body.var, m.body.body, witness, premises[0], pa)
-        case "forall-pos":
-            arity(1)
-            m = _need_major(stated, major, tok)
-            if not isinstance(m.body, Forall) or eigen is None:
-                raise DerivationFormError(
-                    f"{tok.line}:{tok.col}: needs a quantified major and :eigen"
-                )
-            inst = subst_formula(m.body.body, m.body.var, Var(eigen))
-            pa = _find_item(premises[0].concl, IFormula(m.roles, inst), set(), tok)
-            return DForallPos(m.body.r, eigen, premises[0], pa)
-    raise DerivationFormError(f"{tok.line}:{tok.col}: unknown rule {name!r}")
+def _build_node(name, stated, major, witness, eigen, premises) -> Derivation:
+    """The node a ``(rule ...)`` form states; MalformedDerivation if none."""
+    cls = RULES.get(name)
+    if cls is None:
+        raise MalformedDerivation(f"unknown rule {name!r}")
+    if len(premises) != len(cls.schema):
+        raise MalformedDerivation(f"{name} takes {len(cls.schema)} premise(s)")
+    if cls is DId:
+        if not stated.items:
+            raise MalformedDerivation("empty identity")
+        return DId(stated[0].body, tuple(f.roles for f in stated))
+    if cls is DOnePos:
+        if len(stated) != 1 or not isinstance(stated[0].body, One):
+            raise MalformedDerivation("one-pos concludes a single unit")
+        return DOnePos(stated[0].roles, stated[0].body.r)
+    if major is None or not 0 <= major < len(stated):
+        raise MalformedDerivation("rule needs a valid :major index")
+    return build_rule(name, stated[major], premises, witness, eigen)
 
 
 # ---------------------------------------------------------------------------
 # processes
+
+
+# the header table by sigil, then by brackets and word
+_HEADER_ROWS = {
+    sigil: {(row[1], row[2]): cls for cls, row in PROCESS_HEADERS.items() if row[0] == sigil}
+    for sigil in {row[0] for row in PROCESS_HEADERS.values()}
+}
 
 
 def parse_process(c: Cursor, base: RoleBase) -> Process:
@@ -507,103 +347,47 @@ def parse_process(c: Cursor, base: RoleBase) -> Process:
         c.eat(")")
         return Cut(x, ann, tuple(parts))
 
-    bang = client = False
-    if c.at("!"):
-        c.eat("!")
-        bang = True
-    elif c.at("?"):
-        c.eat("?")
-        client = True
-    x = c.eat_kind("ident", "a channel name").text
-    rs = parse_roleset(c, base)
-
-    if bang or client:
-        open_, close = ("(", ")") if bang else ("[", "]")
-        c.eat(open_)
-        y = c.eat_kind("ident", "a bound name").text
-        c.eat(close)
-        r = _eat_role(c, base)
-        c.eat(".")
-        body = parse_process(c, base)
-        return (ServerAccept if bang else ClientRequest)(x, rs, y, r, body)
-
-    if c.at("["):
-        c.eat("[")
-        if c.at("]"):
-            c.eat("]")
-            r = _eat_role(c, base)
-            c.eat(".")
-            return OutEmpty(x, rs, r, parse_process(c, base))
-        t2 = c.peek()
-        if t2.kind == "ident" and t2.text in ("inl", "inr", "skip", "send"):
-            word = c.next().text
-            c.eat("]")
-            if word in ("inl", "inr"):
-                r = _eat_role(c, base)
-                c.eat(".")
-                body = parse_process(c, base)
-                return (SelL if word == "inl" else SelR)(x, rs, r, body)
-            r, s = _eat_role_pair(c, base)
-            c.eat(".")
-            body = parse_process(c, base)
-            return (MsgSkipOut if word == "skip" else MsgSend)(x, rs, r, s, body)
-        y = c.eat_kind("ident", "a bound name").text
-        c.eat("]")
-        r = _eat_role(c, base)
-        c.eat(".")
-        return OutName(x, rs, y, r, parse_process(c, base))
-
-    c.eat("(")
-    if c.at(")"):
-        c.eat(")")
-        r = _eat_role(c, base)
-        c.eat(".")
+    sigil = c.next().text if t.kind == "punct" and t.text in _HEADER_ROWS else ""
+    fields = {"x": c.eat_kind("ident", "a channel name").text, "rs": parse_roleset(c, base)}
+    rows = _HEADER_ROWS[sigil]
+    brackets = sorted({b for b, _ in rows})
+    b = next((b for b in brackets if c.at(b[0])), brackets[0])
+    c.eat(b[0])
+    t = c.peek()
+    if c.at(b[1]) and (b, "") in rows:
+        word = ""
+    elif t.kind == "ident" and (b, t.text) in rows:
+        word = c.next().text
+    else:
+        word = None
+    cls = rows[(b, word)]
+    if word is None:
+        fields[cls.binder] = c.eat_kind("ident", "a bound name").text
+    c.eat(b[1])
+    c.eat("@")
+    if "s" in cls.__match_args__:
+        c.eat("{")
+        fields["r"] = _role_index(c, base)
+        c.eat(",")
+        fields["s"] = _role_index(c, base)
+        c.eat("}")
+    else:
+        fields["r"] = _role_index(c, base)
+    c.eat(".")
+    if not cls.kids:
         end = c.eat_kind("ident", "'end'")
         if end.text != "end":
             raise ParseError("empty input continues with 'end'", end.line, end.col)
-        return InEmpty(x, rs, r)
-    t2 = c.peek()
-    if t2.kind == "ident" and t2.text in ("case", "skip", "recv"):
-        word = c.next().text
+    elif len(cls.kids) == 1:
+        fields[cls.kids[0]] = parse_process(c, base)
+    else:
+        left, right = cls.kids
+        c.eat("(")
+        fields[left] = parse_process(c, base)
+        c.eat(PROCESS_HEADERS[cls][3].strip())
+        fields[right] = parse_process(c, base)
         c.eat(")")
-        if word == "case":
-            r = _eat_role(c, base)
-            c.eat(".")
-            c.eat("(")
-            left = parse_process(c, base)
-            c.eat(",")
-            right = parse_process(c, base)
-            c.eat(")")
-            return Case(x, rs, r, left, right)
-        r, s = _eat_role_pair(c, base)
-        c.eat(".")
-        body = parse_process(c, base)
-        return (MsgSkipIn if word == "skip" else MsgRecv)(x, rs, r, s, body)
-    y = c.eat_kind("ident", "a bound name").text
-    c.eat(")")
-    r = _eat_role(c, base)
-    c.eat(".")
-    c.eat("(")
-    left = parse_process(c, base)
-    c.eat("|")
-    right = parse_process(c, base)
-    c.eat(")")
-    return InName(x, rs, y, r, left, right)
-
-
-def _eat_role(c: Cursor, base: RoleBase) -> int:
-    c.eat("@")
-    return _role_index(c, base)
-
-
-def _eat_role_pair(c: Cursor, base: RoleBase) -> tuple[int, int]:
-    c.eat("@")
-    c.eat("{")
-    r = _role_index(c, base)
-    c.eat(",")
-    s = _role_index(c, base)
-    c.eat("}")
-    return r, s
+    return cls(**fields)
 
 
 # ---------------------------------------------------------------------------

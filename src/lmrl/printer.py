@@ -1,7 +1,7 @@
 """Text output for every value the toolkit manipulates.
 
 The forms printed here re-parse: pretty output is the same grammar the
-parser reads (see parser.py for the grammar summary).
+parser reads (see GRAMMAR.md).
 """
 
 from __future__ import annotations
@@ -21,16 +21,47 @@ from .syntax import (
     Var,
     With,
 )
-from .derivation import (
-    Calculus,
-    DBangNegWeaken,
-    DForallNeg,
-    DForallPos,
-    DId,
-    DOnePos,
-    Derivation,
-    RULE_LABELS,
+from .derivation import Calculus, Derivation, RULE_LABELS
+from .processes import (
+    Case,
+    ClientRequest,
+    Cut,
+    InEmpty,
+    InName,
+    Msg,
+    MsgRecv,
+    MsgSend,
+    MsgSkipIn,
+    MsgSkipOut,
+    OutEmpty,
+    OutName,
+    Process,
+    SelL,
+    SelR,
+    ServerAccept,
 )
+
+# One row per process header, ``x{R}`` standing for the channel and its role
+# set: the sigil before the channel, the brackets after the role set, the
+# word between them (None: the name the constructor binds), and for two
+# continuations the separator between them.  The role form, ``@r`` or
+# ``@{r,s}``, follows from an ``s`` field, and the continuation form,
+# ``.end``, ``.P`` or ``.(P sep Q)``, from ``kids``.  A cut is not a header.
+PROCESS_HEADERS = {
+    OutName: ("", "[]", None, ""),  # x{R}[y]@r.P
+    InName: ("", "()", None, " | "),  # x{R}(y)@r.(P | Q)
+    OutEmpty: ("", "[]", "", ""),  # x{R}[]@r.P
+    InEmpty: ("", "()", "", ""),  # x{R}()@r.end
+    SelL: ("", "[]", "inl", ""),  # x{R}[inl]@r.P
+    SelR: ("", "[]", "inr", ""),  # x{R}[inr]@r.P
+    Case: ("", "()", "case", ", "),  # x{R}(case)@r.(P, Q)
+    ServerAccept: ("!", "()", None, ""),  # !x{R}(y)@r.P
+    ClientRequest: ("?", "[]", None, ""),  # ?x{R}[y]@r.P
+    MsgSkipIn: ("", "()", "skip", ""),  # x{R}(skip)@{r,s}.P
+    MsgSkipOut: ("", "[]", "skip", ""),  # x{R}[skip]@{r,s}.P
+    MsgRecv: ("", "()", "recv", ""),  # x{R}(recv)@{r,s}.P
+    MsgSend: ("", "[]", "send", ""),  # x{R}[send]@{r,s}.P
+}
 
 
 def format_term(t: Term) -> str:
@@ -43,14 +74,10 @@ def format_term(t: Term) -> str:
 
 
 def _atomic(a: Formula) -> bool:
-    from .processes import Msg
-
-    return isinstance(a, (Atom, One)) or isinstance(a, (Bang, Msg))
+    return isinstance(a, (Atom, One, Bang, Msg))
 
 
 def format_formula(a: Formula) -> str:
-    from .processes import Msg
-
     match a:
         case Atom(pred, args):
             return pred if not args else f"{pred}({', '.join(format_term(t) for t in args)})"
@@ -99,15 +126,12 @@ def format_base(base: RoleBase) -> str:
 def format_derivation(d: Derivation, indent: int = 0) -> str:
     pad = "  " * indent
     head = f"(rule {d.rule}"
-    match d:
-        case DId() | DOnePos():
-            pass
-        case DForallNeg(witness=t):
-            head += f" :major {len(d.concl) - 1} :witness {format_term(t)}"
-        case DForallPos(eigen=z):
-            head += f" :major {len(d.concl) - 1} :eigen {z}"
-        case _:
-            head += f" :major {len(d.concl) - 1}"
+    if d.premises:
+        head += f" :major {len(d.concl) - 1}"
+    if "witness" in d.__match_args__:
+        head += f" :witness {format_term(d.witness)}"
+    if "eigen" in d.__match_args__:
+        head += f" :eigen {d.eigen}"
     head += f" :concl {format_sequent(d.concl)}"
     if not d.premises:
         return pad + head + ")"
@@ -121,56 +145,19 @@ def rule_label(d: Derivation, calc: Calculus) -> str:
     return RULE_LABELS[calc][d.rule]
 
 
-def format_process(p) -> str:
-    from .processes import (
-        Case,
-        ClientRequest,
-        Cut,
-        InEmpty,
-        InName,
-        MsgRecv,
-        MsgSend,
-        MsgSkipIn,
-        MsgSkipOut,
-        OutEmpty,
-        OutName,
-        SelL,
-        SelR,
-        ServerAccept,
-    )
-
-    match p:
-        case Cut(x, ann, parts):
-            inner = " | ".join(format_process(q) for q in parts)
-            ann_s = f": {format_formula(ann)} " if ann is not None else ""
-            return f"new {x}{ann_s}.( {inner} )"
-        case OutName(x, rs, y, r, body):
-            return f"{x}{rs}[{y}]@{r}.{format_process(body)}"
-        case InName(x, rs, y, r, left, right):
-            return f"{x}{rs}({y})@{r}.({format_process(left)} | {format_process(right)})"
-        case OutEmpty(x, rs, r, body):
-            return f"{x}{rs}[]@{r}.{format_process(body)}"
-        case InEmpty(x, rs, r):
-            return f"{x}{rs}()@{r}.end"
-        case SelL(x, rs, r, body):
-            return f"{x}{rs}[inl]@{r}.{format_process(body)}"
-        case SelR(x, rs, r, body):
-            return f"{x}{rs}[inr]@{r}.{format_process(body)}"
-        case Case(x, rs, r, left, right):
-            return f"{x}{rs}(case)@{r}.({format_process(left)}, {format_process(right)})"
-        case ServerAccept(x, rs, y, r, body):
-            return f"!{x}{rs}({y})@{r}.{format_process(body)}"
-        case ClientRequest(x, rs, y, r, body):
-            return f"?{x}{rs}[{y}]@{r}.{format_process(body)}"
-        case MsgSkipIn(x, rs, r, s, body):
-            return f"{x}{rs}(skip)@{{{r},{s}}}.{format_process(body)}"
-        case MsgSkipOut(x, rs, r, s, body):
-            return f"{x}{rs}[skip]@{{{r},{s}}}.{format_process(body)}"
-        case MsgRecv(x, rs, r, s, body):
-            return f"{x}{rs}(recv)@{{{r},{s}}}.{format_process(body)}"
-        case MsgSend(x, rs, r, s, body):
-            return f"{x}{rs}[send]@{{{r},{s}}}.{format_process(body)}"
-    raise TypeError(p)
+def format_process(p: Process) -> str:
+    if isinstance(p, Cut):
+        inner = " | ".join(format_process(q) for q in p.parts)
+        ann_s = f": {format_formula(p.ann)} " if p.ann is not None else ""
+        return f"new {p.x}{ann_s}.( {inner} )"
+    sigil, brackets, word, sep = PROCESS_HEADERS[type(p)]
+    if word is None:
+        word = getattr(p, p.binder)
+    s = getattr(p, "s", None)
+    roles = p.r if s is None else f"{{{p.r},{s}}}"
+    kids = [format_process(getattr(p, f)) for f in p.kids]
+    cont = f"({sep.join(kids)})" if len(kids) == 2 else kids[0] if kids else "end"
+    return f"{sigil}{p.x}{p.rs}{brackets[0]}{word}{brackets[1]}@{roles}.{cont}"
 
 
 def format_env(env) -> str:

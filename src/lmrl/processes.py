@@ -13,21 +13,7 @@ from dataclasses import dataclass
 
 from . import roles as rl
 from .roles import RoleBase, RoleSet
-from .derivation import (
-    Calculus,
-    DBangNegContract,
-    DBangNegDerelict,
-    DBangNegWeaken,
-    DBangPos,
-    DOneNeg,
-    DOnePos,
-    DTensorNeg,
-    DTensorPos,
-    DWithNegL,
-    DWithNegR,
-    DWithPos,
-    Derivation,
-)
+from .derivation import DOnePos, Derivation, MissingOccurrence, build_rule, find_occurrence
 from .syntax import (
     Bang,
     Formula,
@@ -38,7 +24,6 @@ from .syntax import (
     With,
     formula_key,
     fresh_name,
-    is_session_type,
 )
 
 
@@ -307,7 +292,8 @@ def _canon(p: Process, env: dict, depth: int):
         e2 = dict(env)
         e2[p.x] = ("b", depth)
         keys = sorted(_canon(q, e2, depth + 1) for q in p.parts)
-        return ("cut", formula_key(p.ann) if p.ann is not None else None, tuple(keys))
+        # () sorts before any (key,): parts may mix annotated and bare cuts
+        return ("cut", () if p.ann is None else (formula_key(p.ann),), tuple(keys))
     inner = env
     if p.binder is not None:
         inner = dict(env)
@@ -714,90 +700,32 @@ class EraseError(Exception):
     pass
 
 
-def _find_value(seq: Sequent, value: IFormula, used: set[int]) -> int:
-    k = value.key()
-    for pos, f in enumerate(seq):
-        if pos not in used and f.key() == k:
-            used.add(pos)
-            return pos
-    raise EraseError(f"erased conclusion lost [{value.roles}]{_fmt(value.body)}")
-
-
 def erase_to_sequent(td: TypingDerivation) -> Derivation:
     """Strip the process content, leaving a kernel derivation that checks."""
     from .cutelim import CutSpec, cutn
 
-    def assoc(env, name) -> IFormula:
-        f = _env_lookup(env, name)
-        assert f is not None
-        return f
-
     def go(td: TypingDerivation) -> Derivation:
         subs = [go(s) for s in td.premises]
-        env = td.env
-        match td.rule:
-            case "one-pos":
-                f = assoc(env, td.subject)
-                return DOnePos(f.roles, f.body.r)
-            case "one-neg":
-                f = assoc(env, td.subject)
-                return DOneNeg(f.roles, f.body.r, subs[0])
-            case "tensor-neg":
-                f = assoc(env, td.subject)
-                prem_env = td.premises[0].env
-                used: set[int] = set()
-                pa = _find_value(subs[0].concl, assoc(prem_env, td.object_), used)
-                pb = _find_value(subs[0].concl, assoc(prem_env, td.subject), used)
-                return DTensorNeg(f.body.r, subs[0], pa, pb)
-            case "tensor-pos":
-                f = assoc(env, td.subject)
-                pa = _find_value(subs[0].concl, assoc(td.premises[0].env, td.object_), set())
-                pb = _find_value(subs[1].concl, assoc(td.premises[1].env, td.subject), set())
-                return DTensorPos(f.body.r, subs[0], pa, subs[1], pb)
-            case "with-neg-l":
-                f = assoc(env, td.subject)
-                pa = _find_value(subs[0].concl, assoc(td.premises[0].env, td.subject), set())
-                return DWithNegL(f.body.r, f.body.right, subs[0], pa)
-            case "with-neg-r":
-                f = assoc(env, td.subject)
-                pb = _find_value(subs[0].concl, assoc(td.premises[0].env, td.subject), set())
-                return DWithNegR(f.body.r, f.body.left, subs[0], pb)
-            case "with-pos":
-                f = assoc(env, td.subject)
-                pa = _find_value(subs[0].concl, assoc(td.premises[0].env, td.subject), set())
-                pb = _find_value(subs[1].concl, assoc(td.premises[1].env, td.subject), set())
-                return DWithPos(f.body.r, subs[0], pa, subs[1], pb)
-            case "bang-pos":
-                f = assoc(env, td.subject)
-                pa = _find_value(subs[0].concl, assoc(td.premises[0].env, td.object_), set())
-                return DBangPos(f.body.r, subs[0], pa)
-            case "bang-neg-weaken":
-                f = assoc(env, td.subject)
-                return DBangNegWeaken(f.body.r, f.roles, f.body.body, subs[0])
-            case "bang-neg-derelict":
-                f = assoc(env, td.subject)
-                pa = _find_value(subs[0].concl, assoc(td.premises[0].env, td.object_), set())
-                return DBangNegDerelict(f.body.r, subs[0], pa)
-            case "bang-neg-contract":
-                f = assoc(env, td.subject)
-                prem_env = td.premises[0].env
-                used = set()
-                pa = _find_value(subs[0].concl, assoc(prem_env, td.object_), used)
-                pb = _find_value(subs[0].concl, assoc(prem_env, td.subject), used)
-                return DBangNegContract(subs[0], pa, pb)
-            case "n-cut":
-                ann = td.process.ann
-                spec = []
-                for k, e in enumerate(subs):
-                    want = IFormula(td.rolesets[k], ann)
-                    pos = _find_value(e.concl, want, set())
-                    spec.append((e, (pos,)))
-                return cutn(CutSpec(spec))
-            case rule if rule.startswith("msg-"):
-                raise EraseError("transfer headers have no logic-kernel counterpart")
-        raise EraseError(f"unknown typing rule {td.rule}")
+        if td.rule == "n-cut":
+            ann = td.process.ann
+            spec = []
+            for k, e in enumerate(subs):
+                want = IFormula(td.rolesets[k], ann)
+                spec.append((e, (find_occurrence(e.concl, want, set()),)))
+            return cutn(CutSpec(spec))
+        if td.rule.startswith("msg-"):
+            raise EraseError("transfer headers have no logic-kernel counterpart")
+        f = _env_lookup(td.env, td.subject)
+        assert f is not None
+        if td.rule == "one-pos":
+            return DOnePos(f.roles, f.body.r)
+        return build_rule(td.rule, f, subs)
 
-    return go(td)
+    try:
+        return go(td)
+    except MissingOccurrence as e:
+        f = e.value
+        raise EraseError(f"erased conclusion lost [{f.roles}]{_fmt(f.body)}") from None
 
 
 def td_uses_msg(td: TypingDerivation) -> bool:

@@ -11,15 +11,19 @@ from lmrl.derivation import (
     DId,
     DOnePos,
     DTensorPos,
+    RULES,
     Derivation,
+    MalformedDerivation,
     RuleViolation,
+    build_rule,
     check,
     checks,
     dualize,
     height,
 )
 from lmrl.parser import parse_problem
-from lmrl.syntax import Atom
+from lmrl.printer import format_derivation
+from lmrl.syntax import Atom, IFormula, Var
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus", "logic")
 
@@ -205,6 +209,9 @@ def test_rule_schema_names_own_fields(cls):
     assert set(indices) <= own
     # each index field addresses exactly one premise
     assert len(indices) == len(set(indices))
+    # the figure names a part of the major for every index field, and for
+    # other fields only
+    assert set(indices) <= set(cls.parts) <= own
 
 
 def test_premises_follow_the_schema():
@@ -218,3 +225,35 @@ def test_premises_follow_the_schema():
         for f in d.__match_args__:
             want = getattr(d, f) + 1 if f in indices else getattr(d, f)
             assert getattr(shifted, f) == want
+
+
+# ---------------------------------------------------------------------------
+# building a node from its rule figure
+
+SPECIAL = (DId, DOnePos)  # no major to build from: the parser reads these itself
+
+
+def test_rule_table_names_every_class():
+    assert RULES == {cls.rule: cls for cls in rule_classes()}
+
+
+def test_builder_rebuilds_every_corpus_node():
+    built = set()
+    for d in corpus_nodes():
+        if isinstance(d, SPECIAL):
+            continue
+        terms = {f: getattr(d, f) for f in ("witness", "eigen") if f in d.__match_args__}
+        again = build_rule(d.rule, d.concl[len(d.concl) - 1], d.premises, **terms)
+        assert type(again) is type(d)
+        assert format_derivation(again) == format_derivation(d)
+        built.add(type(d))
+    assert built | set(SPECIAL) == set(rule_classes())
+
+
+@pytest.mark.parametrize(
+    "cls", [c for c in rule_classes() if c.connective is not None], ids=lambda c: c.__name__
+)
+def test_builder_checks_the_connective(cls):
+    premises = [DId(a, (rl.roleset(B2, [0]), rl.roleset(B2, [1])))] * len(cls.schema)
+    with pytest.raises(MalformedDerivation, match="major"):
+        build_rule(cls.rule, IFormula(rl.roleset(B2, [0]), a), premises, Var("c"), "z")

@@ -7,7 +7,8 @@ import pytest
 from lmrl import processes
 from lmrl import roles as rl
 from lmrl.derivation import Calculus, check
-from lmrl.parser import parse_problem
+from lmrl.parser import Cursor, parse_problem, parse_process, tokenize
+from lmrl.printer import PROCESS_HEADERS, format_process
 from lmrl.processes import (
     Case,
     ClientRequest,
@@ -191,6 +192,20 @@ def test_struct_equiv_assoc_blocked_by_scope():
     # pivot does not even use y, so the exchange condition fails
     q = Cut("y", None, (Cut("x", None, (pivot, px)), py))
     assert not struct_equiv(p, q)
+
+
+def test_canonical_key_orders_annotated_and_bare_cuts():
+    # a cut whose parts are one bare and one annotated cut
+    p = Cut(
+        "x",
+        None,
+        (Cut("y", None, (InEmpty("y", S0, 0),)), Cut("w", One(0), (InEmpty("w", S0, 0),))),
+    )
+    q = Cut("x", None, tuple(reversed(p.parts)))
+    assert canonical_key(p) == canonical_key(q)
+    assert alpha_equiv(p, q)
+    assert struct_equiv(p, q)
+    assert not alpha_equiv(p, strip_cut_annotations(p))
 
 
 # ---------------------------------------------------------------------------
@@ -483,3 +498,24 @@ def test_rename_free_round_trip_on_corpus_subterms():
             q = rename_free(p, a, b)
             assert free_names(q) == (free_names(p) - {a}) | {b}
             assert canonical_key(rename_free(q, b, a)) == canonical_key(p)
+
+
+def test_every_header_has_one_table_row():
+    assert set(PROCESS_HEADERS) == set(process_classes()) - {Cut}
+    rows = [row[:3] for row in PROCESS_HEADERS.values()]
+    assert len(set(rows)) == len(rows)
+
+
+@pytest.mark.parametrize("cls", list(PROCESS_HEADERS), ids=lambda c: c.__name__)
+def test_header_row_prints_and_parses(cls):
+    sigil, brackets, word, sep = PROCESS_HEADERS[cls]
+    # the bound name stands where a binder's word would
+    assert (word is None) == (cls.binder is not None)
+    assert bool(sep) == (len(cls.kids) == 2)
+    terms = [q for q in corpus_subterms() if type(q) is cls]
+    assert terms
+    for q in terms:
+        text = format_process(q)
+        head = word if word is not None else getattr(q, cls.binder)
+        assert text.startswith(f"{sigil}{q.x}{q.rs}{brackets[0]}{head}{brackets[1]}@")
+        assert parse_process(Cursor(tokenize(text)), q.rs.base) == q
