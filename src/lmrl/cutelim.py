@@ -379,27 +379,14 @@ def _spill(s1: _Side, s2: _Side, cutf: Formula, parent) -> tuple[Derivation, dic
     if p1 and p2:
         return _principal_pair(s1, s2, cutf, measure)
 
-    # Commutation order: with a banged cut formula the positive side is
-    # straightened out first so that context-duplicating steps on the
-    # negative side can re-contract against a ?-shaped context.
-    if isinstance(cutf, Bang) and (cutf.r in s1.rs) != (cutf.r in s2.rs):
-        pos_first = cutf.r in s1.rs
-        if pos_first:
-            if not p1:
-                e, o1, o2, sp = _commute(s1, s2, cutf, measure)
-                return e, o1, o2, sp
-            e, o2, o1, sp = _commute(s2, s1, cutf, measure)
-            return e, o1, o2, sp
-        if not p2:
-            e, o2, o1, sp = _commute(s2, s1, cutf, measure)
-            return e, o1, o2, sp
-        e, o1, o2, sp = _commute(s1, s2, cutf, measure)
+    # Commute s1 unless it is principal.  With a banged cut formula whose
+    # positive side is s2 alone, s2 goes first, so that context-duplicating
+    # steps on the negative side can re-contract against a ?-shaped context.
+    pos2 = isinstance(cutf, Bang) and cutf.r not in s1.rs and cutf.r in s2.rs
+    if p1 or (pos2 and not p2):
+        e, o2, o1, sp = _commute(s2, s1, cutf, measure)
         return e, o1, o2, sp
-    if not p1:
-        e, o1, o2, sp = _commute(s1, s2, cutf, measure)
-        return e, o1, o2, sp
-    e, o2, o1, sp = _commute(s2, s1, cutf, measure)
-    return e, o1, o2, sp
+    return _commute(s1, s2, cutf, measure)
 
 
 def _spill_terminal(sides, cutf) -> tuple[Derivation, dict, dict, int]:

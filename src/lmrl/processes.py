@@ -10,6 +10,8 @@ conversions, and nested cuts are reduced leftmost-first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby, permutations, product
+from operator import itemgetter
 
 from . import roles as rl
 from .roles import RoleBase, RoleSet
@@ -287,8 +289,14 @@ def strip_cut_annotations(p: Process) -> Process:
 # alpha/permutation-canonical forms and structural equivalence
 
 
-def _canon(p: Process, env: dict, depth: int):
+class NonLinearNet(ValueError):
+    """A cut nest whose links are no tree: a name has two users in one part."""
+
+
+def _canon(p: Process, env: dict, depth: int, net: bool = False):
     if isinstance(p, Cut):
+        if net:
+            return ("net", _net_key(p, env, depth))
         e2 = dict(env)
         e2[p.x] = ("b", depth)
         keys = sorted(_canon(q, e2, depth + 1) for q in p.parts)
@@ -304,63 +312,99 @@ def _canon(p: Process, env: dict, depth: int):
         env.get(p.x, ("f", p.x)),
         str(p.rs),
         *[getattr(p, f) for f in p.__match_args__ if f not in fixed],
-        *[_canon(getattr(p, f), inner if f in p.scope else env, depth + 1) for f in p.kids],
+        *[_canon(getattr(p, f), inner if f in p.scope else env, depth + 1, net) for f in p.kids],
     )
 
 
+def _net_key(p: Cut, env: dict, depth: int):
+    """Key of the maximal cut nest at ``p``, invariant under cut exchange.
+
+    The nest's cuts and its leaves (the non-cut parts, and the parts that do
+    not use their cut's name) form a tree: a leaf is linked to every nest
+    cut whose name it uses, and an idle leaf to its own cut as well.  The
+    tree is keyed from its centre, so the key is unrooted.  Within a leaf,
+    the nest name toward the root reads as (depth, -1), and each other one
+    as (depth, index) into the sorted keys of the subtrees behind them;
+    names behind equal subtrees take the ordering giving the least key.
+    """
+    anns, leaves, stack = [], [], [(p, {})]
+    while stack:
+        cut, scope = stack.pop()
+        scope = {**scope, cut.x: len(anns)}
+        anns.append(() if cut.ann is None else (formula_key(cut.ann),))
+        for q in cut.parts:
+            if isinstance(q, Cut) and cut.x in free_names(q):
+                stack.append((q, scope))
+            else:
+                used = {n: scope[n] for n in free_names(q) if n in scope}
+                leaves.append((q, scope[cut.x], used))
+    adj = [[] for _ in anns] + [[] for _ in leaves]
+    for i, (_, own, used) in enumerate(leaves, len(anns)):
+        for c in set(used.values()) | {own}:
+            adj[i].append(c)
+            adj[c].append(i)
+    if sum(map(len, adj)) != 2 * len(adj) - 2:
+        raise NonLinearNet(f"the links of the cut nest on {p.x} are not a tree")
+
+    def vertex(v, up):
+        if v < len(anns):
+            return (0, anns[v], tuple(sorted(key[w] for w in adj[v] if w != up)))
+        q, own, used = leaves[v - len(anns)]
+        idle = (key[own],) if own != up and own not in used.values() else ()
+        kids = sorted((key[c], n) for n, c in used.items() if c != up)
+        groups = [[n for _, n in g] for _, g in groupby(kids, key=itemgetter(0))]
+        env2 = {**env, **{n: ("t", depth, -1) for n, c in used.items() if c == up}}
+        return (1, idle, tuple(k for k, _ in kids), min(
+            _canon(q, {**env2, **{n: ("t", depth, i) for i, n in enumerate(chain(*o))}},
+                   depth + 1, True)
+            for o in product(*map(permutations, groups))
+        ))
+
+    # peel leaves down to the centre; of two centres (a cut and a leaf), root at the cut
+    deg = [len(a) for a in adj]
+    layer, left = [v for v, d in enumerate(deg) if d == 1], len(adj)
+    while left > 2:
+        left, nxt = left - len(layer), []
+        for w in [w for v in layer for w in adj[v]]:
+            deg[w] -= 1
+            if deg[w] == 1:
+                nxt.append(w)
+        layer = nxt
+    order, up, key = [min(layer)], {min(layer): None}, {}
+    for v in order:
+        for w in adj[v]:
+            if w not in up:
+                up[w] = v
+                order.append(w)
+    for v in reversed(order):
+        key[v] = vertex(v, up[v])
+    return key[order[0]]
+
+
 def canonical_key(p: Process):
-    """Alpha- and part-permutation-invariant structural key."""
+    """Alpha- and part-permutation-invariant structural key.  It is total and
+    blind to cut exchange, which ``struct_key`` adds on linear cut nests."""
     return _canon(p, {}, 0)
 
 
 def alpha_equiv(p: Process, q: Process) -> bool:
+    """Equality up to alpha and part permutation; never ``NonLinearNet``."""
     return canonical_key(p) == canonical_key(q)
 
 
-def _assoc_moves(p: Process):
-    """All single applications of the cut-exchange equivalence, anywhere."""
-    match p:
-        case Cut(x, annx, parts):
-            for k, part in enumerate(parts):
-                if isinstance(part, Cut) and part.x != x:
-                    y, anny, inner = part.x, part.ann, part.parts
-                    rest = parts[:k] + parts[k + 1 :]
-                    if any(y in free_names(q) for q in rest):
-                        continue
-                    for m, pivot in enumerate(inner):
-                        others = inner[:m] + inner[m + 1 :]
-                        fp = free_names(pivot)
-                        if x not in fp or y not in fp:
-                            continue
-                        if others and any(x in free_names(q) for q in others):
-                            continue
-                        yield Cut(y, anny, (Cut(x, annx, (pivot,) + rest),) + others)
-    kids = _children(p)
-    for k, child in enumerate(kids):
-        for moved in _assoc_moves(child):
-            yield _rebuild(p, kids[:k] + [moved] + kids[k + 1 :])
+def struct_key(p: Process):
+    """Key of ``p``'s ``struct_equiv`` class; ``NonLinearNet`` as there."""
+    return _canon(p, {}, 0, True)
 
 
-def struct_equiv(p: Process, q: Process, limit: int = 4000) -> bool:
-    """Least congruence from alpha, part permutation and cut exchange."""
-    target = canonical_key(q)
-    start = canonical_key(p)
-    if start == target:
-        return True
-    seen = {start}
-    frontier = [p]
-    while frontier and len(seen) < limit:
-        nxt = []
-        for t in frontier:
-            for t2 in _assoc_moves(t):
-                key = canonical_key(t2)
-                if key == target:
-                    return True
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(t2)
-        frontier = nxt
-    return False
+def struct_equiv(p: Process, q: Process) -> bool:
+    """Least congruence from alpha, part permutation and cut exchange.
+
+    Decided exactly on linear cut nests (each linked name has one user per
+    part) and on pairs equal up to alpha and part permutation.  Any other
+    pair raises ``NonLinearNet``.
+    """
+    return alpha_equiv(p, q) or struct_key(p) == struct_key(q)
 
 
 # ---------------------------------------------------------------------------
