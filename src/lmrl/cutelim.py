@@ -147,7 +147,8 @@ def _cut1(d: Derivation, occ: int) -> tuple[Derivation, dict[int, int]]:
 
 def _erase(d: Derivation, occ: int) -> tuple[Derivation, dict[int, int]]:
     n = len(d.concl)
-    if occ in d.major_positions():
+    majors = d.major_positions()
+    if occ in majors:
         match d:
             case DId(atom=a, rolesets=rss):
                 if len(rss) == 1:
@@ -197,7 +198,7 @@ def _erase(d: Derivation, occ: int) -> tuple[Derivation, dict[int, int]]:
     for q in range(n):
         if q == occ:
             continue
-        if q in d.major_positions():
+        if q in majors:
             out[q] = len(node.concl) - 1
             continue
         for k, cm in enumerate(cmaps):
@@ -419,6 +420,7 @@ def _commute(sc: _Side, so: _Side, cutf: Formula, measure):
     if isinstance(d, DForallPos):
         d = _freshen_eigen(d)
     cmaps = d.context_maps()
+    majors = d.major_positions()
 
     if len(d.premises) == 1:
         cmap = cmaps[0]
@@ -430,7 +432,7 @@ def _commute(sc: _Side, so: _Side, cutf: Formula, measure):
         for q in range(len(d.concl)):
             if q in sc.occs:
                 continue
-            if q in d.major_positions():
+            if q in majors:
                 out_c[q] = len(node.concl) - 1
             else:
                 out_c[q] = shift[op[cmap[q]]]
@@ -450,7 +452,7 @@ def _commute(sc: _Side, so: _Side, cutf: Formula, measure):
         for q in range(len(d.concl)):
             if q in sc.occs:
                 continue
-            if q in d.major_positions():
+            if q in majors:
                 out_c[q] = len(node.concl) - 1
             else:
                 out_c[q] = shift[o1p[cm0[q]]]
@@ -472,7 +474,7 @@ def _commute(sc: _Side, so: _Side, cutf: Formula, measure):
         for q in range(len(d.concl)):
             if q in sc.occs:
                 continue
-            if q in d.major_positions():
+            if q in majors:
                 out_c[q] = len(node.concl) - 1
             elif q in cmaps[k]:
                 out_c[q] = sh_new[op[cmaps[k][q]]]
@@ -496,7 +498,7 @@ def _commute(sc: _Side, so: _Side, cutf: Formula, measure):
     for q in range(len(d.concl)):
         if q in sc.occs:
             continue
-        if q in d.major_positions():
+        if q in majors:
             out_c[q] = tr[len(node.concl) - 1]
         elif q in cm0:
             out_c[q] = tr[shl[o1p[cm0[q]]]]

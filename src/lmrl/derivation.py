@@ -331,20 +331,20 @@ class DWithPos(_TwoPremises):
 
     def context_maps(self):
         # Shared context: every conclusion occurrence maps into both branches;
-        # the second branch is matched greedily by value.
-        kept1 = [i for i in range(len(self.left.concl)) if i != self.i]
-        kept2 = [i for i in range(len(self.right.concl)) if i != self.j]
-        m1 = {pos: i for pos, i in enumerate(kept1)}
+        # the second branch is matched by value, each occurrence taking the
+        # lowest unused position holding its key.
+        left, right = self.left.concl, self.right.concl
+        kept1 = [i for i in range(len(left)) if i != self.i]
+        unused: dict = {}  # key -> positions, highest first
+        for j in reversed(range(len(right))):
+            if j != self.j:
+                unused.setdefault(right[j].key(), []).append(j)
         m2: dict[int, int] = {}
-        unused = list(kept2)
         for pos, i in enumerate(kept1):
-            want = self.left.concl[i].key()
-            for j in unused:
-                if self.right.concl[j].key() == want:
-                    m2[pos] = j
-                    unused.remove(j)
-                    break
-        return [m1, m2]
+            bucket = unused.get(left[i].key())
+            if bucket:
+                m2[pos] = bucket.pop()
+        return [dict(enumerate(kept1)), m2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -564,9 +564,30 @@ def is_query_shaped(item: IFormula, calc: Calculus) -> bool:
 
 
 def height(d: Derivation) -> int:
-    if not d.premises:
-        return 1
-    return 1 + max(height(p) for p in d.premises)
+    """Rule levels from ``d`` to its deepest leaf, computed once per node and
+    cached on it.  Uncached nodes are filled bottom-up from an explicit
+    stack, so a tall derivation does not recurse."""
+    cached = getattr(d, "_height", None)
+    if cached is not None:
+        return cached
+    stack = [d]
+    while stack:
+        node = stack[-1]
+        if getattr(node, "_height", None) is not None:
+            stack.pop()
+            continue
+        todo = [p for p in node.premises if getattr(p, "_height", None) is None]
+        if todo:
+            stack.extend(todo)
+        else:
+            stack.pop()
+            object.__setattr__(node, "_height", _height(node))
+    return d._height
+
+
+def _height(d: Derivation) -> int:
+    """Height of ``d`` from the cached heights of its premises."""
+    return 1 + max((p._height for p in d.premises), default=0)
 
 
 def check(d: Derivation, calc: Calculus = Calculus.CONJ) -> Sequent:

@@ -8,6 +8,7 @@ tractable; the bounds are the documented caps of the exhaustive suites).
 from __future__ import annotations
 
 import itertools
+import random
 
 from lmrl import roles as rl
 from lmrl.derivation import (
@@ -24,6 +25,7 @@ from lmrl.derivation import (
     DWithNegL,
     DWithNegR,
     DWithPos,
+    Derivation,
     height,
     is_query_shaped,
 )
@@ -245,3 +247,36 @@ def deep_session(depth: int) -> str:
         offer = f"x{{0}}(case)@0.({offer}, x{{0}}()@0.end)"
         sel = f"x{{1}}[inl]@0.{sel}"
     return f"base 2\nenv w : [{{0}}] ![1] one[0]\nproc new x: {typ} .( {offer} | {sel} )\n"
+
+
+def tall_tower(rng: random.Random, height: int) -> Derivation:
+    """A tower of unary rules over |- [{0}]a, [{1}]a in base 2, leaving
+    occurrence 0 alone, so it cuts against an identity at occurrence 0.
+
+    Half the rules add an occurrence (one-neg, bang-neg-weaken) and half
+    rewrite an earlier one (with-neg-l/r, bang-neg-derelict), in seeded
+    order, so every tower of a height carries the same amount of context.
+    """
+    base = rl.finite_base(2)
+    kinds = ["add"] * ((height - 1) // 2) + ["rewrite"] * (height - 1 - (height - 1) // 2)
+    rng.shuffle(kinds)
+    roles = [frozenset({0}), frozenset({1})]
+    d = DId(ATOMS[0], tuple(rl.roleset(base, s) for s in roles))
+    for kind in kinds:
+        if kind == "add":
+            rule = rng.choice(("one-neg", "one-neg", "weaken"))
+            s = rng.choice((frozenset(), frozenset({0}), frozenset({1})))
+            r = rng.choice([k for k in (0, 1) if k not in s])
+            rs = rl.roleset(base, s)
+            d = DOneNeg(rs, r, d) if rule == "one-neg" else DBangNegWeaken(r, rs, ATOMS[1], d)
+            roles.append(s)
+        else:
+            rule = rng.choice(("with-l", "with-r", "derelict"))
+            i = rng.randrange(1, len(roles))
+            r = rng.choice([k for k in (0, 1) if k not in roles[i]])
+            if rule == "derelict":
+                d = DBangNegDerelict(r, d, i)
+            else:
+                d = (DWithNegL if rule == "with-l" else DWithNegR)(r, One(1 - r), d, i)
+            roles.append(roles.pop(i))
+    return d
