@@ -379,6 +379,26 @@ def test_subject_reduction_corpus():
         assert rep.progress_ok, f"{name} got stuck"
 
 
+def test_subject_reduction_reports_a_step_that_breaks_typing(monkeypatch):
+    # a step to a term with a name outside the environment: the report names
+    # the step and the typechecker's reason, and stops there
+    p, env = load("unit2")
+    bad = InEmpty("z", S0, 0)
+    monkeypatch.setattr(processes, "step_detailed", lambda q: processes.StepResult(bad, "one"))
+    rep = check_subject_reduction(p, env, 10)
+    assert rep == processes.SRReport(
+        False, 1, bad, False, True, True,
+        "step 1 broke typing: free names not in the environment: ['z']",
+    )
+
+
+def test_subject_reduction_reports_a_stuck_cut(monkeypatch):
+    p, env = load("unit2")
+    monkeypatch.setattr(processes, "step_detailed", lambda q: None)
+    rep = check_subject_reduction(p, env, 10)
+    assert rep == processes.SRReport(False, 0, p, False, False, False, "stuck cut")
+
+
 def test_corrupted_process_fails_before_running():
     p, env = load("neg-swap-inl")
     with pytest.raises(ProcessTypeError):
