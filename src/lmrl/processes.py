@@ -50,18 +50,21 @@ class Msg(Formula):
 
 
 def is_proc_type(a: Formula) -> bool:
-    """Session types extended with the transfer constructor."""
-    match a:
-        case One():
-            return True
-        case Tensor(_, left, right) | With(_, left, right):
-            return is_proc_type(left) and is_proc_type(right)
-        case Bang(_, body):
-            return is_proc_type(body)
-        case Msg(_, _, body):
-            return is_proc_type(body)
-        case _:
-            return False
+    """Session types extended with the transfer constructor, decided once per
+    formula node and cached on it."""
+    cached = getattr(a, "_cached_proc_type", None)
+    if cached is None:
+        match a:
+            case One():
+                cached = True
+            case Tensor(_, left, right) | With(_, left, right):
+                cached = is_proc_type(left) and is_proc_type(right)
+            case Bang(_, body) | Msg(_, _, body):
+                cached = is_proc_type(body)
+            case _:
+                cached = False
+        object.__setattr__(a, "_cached_proc_type", cached)
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +465,13 @@ def _find_base(env, p: Process) -> RoleBase | None:
 
 def typecheck(p: Process, env: TypeEnv | None = None) -> TypingDerivation:
     """Check ``p`` against the environment, building the typing derivation."""
+    items, base = _judgment(p, env)
+    return _tc(p, items, base, ())
+
+
+def _judgment(p: Process, env: TypeEnv | None):
+    """Check the environment (distinct names, session types, an inferable
+    role base); return its associations as a tuple, and the base."""
     items = tuple((env or {}).items())
     names = [z for z, _ in items]
     if len(set(names)) != len(names):
@@ -472,7 +482,7 @@ def typecheck(p: Process, env: TypeEnv | None = None) -> TypingDerivation:
     base = _find_base(items, p)
     if base is None:
         raise ProcessTypeError("no role base is inferable from the judgment")
-    return _tc(p, items, base, ())
+    return items, base
 
 
 def _first_roles(p: Process, x: str) -> RoleSet | None:
@@ -491,7 +501,21 @@ def _first_roles(p: Process, x: str) -> RoleSet | None:
     return None
 
 
-def _tc(p: Process, env, base: RoleBase, path) -> TypingDerivation:
+def _tc(p: Process, env, base: RoleBase, path, memo: dict | None = None) -> TypingDerivation:
+    """Type ``p`` in ``env``.  A ``memo`` types each (node, environment) pair
+    once across calls sharing it; only successes are stored."""
+    if memo is None:
+        return _tc_rule(p, env, base, path, None)
+    # nodes and formulas are immutable, and each stored typing keeps its
+    # node and environment alive, so their ids stay theirs
+    key = (id(p), tuple((z, f.roles, id(f.body)) for z, f in env))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (p, _tc_rule(p, env, base, path, memo))
+    return hit[1]
+
+
+def _tc_rule(p: Process, env, base: RoleBase, path, memo) -> TypingDerivation:
     fn = free_names(p)
 
     # discharge unused associations immediately (only ?-shaped ones may go)
@@ -501,7 +525,7 @@ def _tc(p: Process, env, base: RoleBase, path) -> TypingDerivation:
                 raise ProcessTypeError(
                     f"unused association {z} : [{f.roles}]{_fmt(f.body)} is not weakenable", path
                 )
-            sub = _tc(p, _env_without(env, z), base, path)
+            sub = _tc(p, _env_without(env, z), base, path, memo)
             return TypingDerivation("bang-neg-weaken", p, env, (sub,), subject=z)
 
     missing = fn - {z for z, _ in env}
@@ -523,7 +547,7 @@ def _tc(p: Process, env, base: RoleBase, path) -> TypingDerivation:
             _expect_type(f, x, rs, One(r), path)
             if r in rs:
                 raise ProcessTypeError(f"empty output on {x} needs role {r} outside {rs}", path)
-            sub = _tc(body, _env_without(env, x), base, path + (0,))
+            sub = _tc(body, _env_without(env, x), base, path + (0,), memo)
             return TypingDerivation("one-neg", p, env, (sub,), subject=x)
 
         case OutName(x, rs, y, r, body):
@@ -534,7 +558,7 @@ def _tc(p: Process, env, base: RoleBase, path) -> TypingDerivation:
             y, body = _avoid(y, body, env)
             pair = ((y, IFormula(rs, a.left)), (x, IFormula(rs, a.right)))
             prem_env = _env_without(env, x) + pair
-            sub = _tc(body, prem_env, base, path + (0,))
+            sub = _tc(body, prem_env, base, path + (0,), memo)
             return TypingDerivation("tensor-neg", p, env, (sub,), subject=x, object_=y)
 
         case InName(x, rs, y, r, left, right):
@@ -549,11 +573,11 @@ def _tc(p: Process, env, base: RoleBase, path) -> TypingDerivation:
             rest = _env_without(env, x)
             shared = [z for z, g in rest if z in free_names(left) and z in free_names(right)]
             if shared:
-                return _contract_step(p, env, shared[0], base, path)
+                return _contract_step(p, env, shared[0], base, path, memo)
             env_l = tuple((z, g) for z, g in rest if z in free_names(left))
             env_r = tuple((z, g) for z, g in rest if (z, g) not in env_l)
-            sub_l = _tc(left, env_l + ((y, IFormula(rs, a.left)),), base, path + (0,))
-            sub_r = _tc(right, env_r + ((x, IFormula(rs, a.right)),), base, path + (1,))
+            sub_l = _tc(left, env_l + ((y, IFormula(rs, a.left)),), base, path + (0,), memo)
+            sub_r = _tc(right, env_r + ((x, IFormula(rs, a.right)),), base, path + (1,), memo)
             return TypingDerivation("tensor-pos", p, env, (sub_l, sub_r), subject=x, object_=y)
 
         case SelL(x, rs, r, body) | SelR(x, rs, r, body):
@@ -562,7 +586,8 @@ def _tc(p: Process, env, base: RoleBase, path) -> TypingDerivation:
             if r in rs:
                 raise ProcessTypeError(f"selection on {x} needs role {r} outside {rs}", path)
             pick = a.left if isinstance(p, SelL) else a.right
-            sub = _tc(body, _env_without(env, x) + ((x, IFormula(rs, pick)),), base, path + (0,))
+            prem_env = _env_without(env, x) + ((x, IFormula(rs, pick)),)
+            sub = _tc(body, prem_env, base, path + (0,), memo)
             rule = "with-neg-l" if isinstance(p, SelL) else "with-neg-r"
             return TypingDerivation(rule, p, env, (sub,), subject=x)
 
@@ -572,8 +597,8 @@ def _tc(p: Process, env, base: RoleBase, path) -> TypingDerivation:
             if r not in rs:
                 raise ProcessTypeError(f"case offer on {x} needs role {r} in {rs}", path)
             rest = _env_without(env, x)
-            sub_l = _tc(left, rest + ((x, IFormula(rs, a.left)),), base, path + (0,))
-            sub_r = _tc(right, rest + ((x, IFormula(rs, a.right)),), base, path + (1,))
+            sub_l = _tc(left, rest + ((x, IFormula(rs, a.left)),), base, path + (0,), memo)
+            sub_r = _tc(right, rest + ((x, IFormula(rs, a.right)),), base, path + (1,), memo)
             return TypingDerivation("with-pos", p, env, (sub_l, sub_r), subject=x)
 
         case ServerAccept(x, rs, y, r, body):
@@ -588,7 +613,8 @@ def _tc(p: Process, env, base: RoleBase, path) -> TypingDerivation:
                         path,
                     )
             y, body = _avoid(y, body, env)
-            sub = _tc(body, _env_without(env, x) + ((y, IFormula(rs, a.body)),), base, path + (0,))
+            prem_env = _env_without(env, x) + ((y, IFormula(rs, a.body)),)
+            sub = _tc(body, prem_env, base, path + (0,), memo)
             return TypingDerivation("bang-pos", p, env, (sub,), subject=x, object_=y)
 
         case ClientRequest(x, rs, y, r, body):
@@ -600,11 +626,12 @@ def _tc(p: Process, env, base: RoleBase, path) -> TypingDerivation:
             if x in free_names(body):
                 x2 = fresh_name(x)
                 p2 = ClientRequest(x2, rs, y, r, body)
-                sub = _tc(p2, env + ((x2, f),), base, path)
+                sub = _tc(p2, env + ((x2, f),), base, path, memo)
                 return TypingDerivation(
                     "bang-neg-contract", p, env, (sub,), subject=x, object_=x2
                 )
-            sub = _tc(body, _env_without(env, x) + ((y, IFormula(rs, a.body)),), base, path + (0,))
+            prem_env = _env_without(env, x) + ((y, IFormula(rs, a.body)),)
+            sub = _tc(body, prem_env, base, path + (0,), memo)
             return TypingDerivation("bang-neg-derelict", p, env, (sub,), subject=x, object_=y)
 
         case _Transfer(x, rs, r, s, body):
@@ -620,7 +647,8 @@ def _tc(p: Process, env, base: RoleBase, path) -> TypingDerivation:
                 raise ProcessTypeError(
                     f"transfer header on {x} disagrees with roles {r},{s} against {rs}", path
                 )
-            sub = _tc(body, _env_without(env, x) + ((x, IFormula(rs, a.body)),), base, path + (0,))
+            prem_env = _env_without(env, x) + ((x, IFormula(rs, a.body)),)
+            sub = _tc(body, prem_env, base, path + (0,), memo)
             return TypingDerivation(want[2], p, env, (sub,), subject=x)
 
         case Cut(x, ann, parts):
@@ -647,7 +675,7 @@ def _tc(p: Process, env, base: RoleBase, path) -> TypingDerivation:
                 z2 = fresh_name(z)
                 parts2 = list(parts)
                 parts2[holders[1]] = rename_free(parts2[holders[1]], z, z2)
-                sub = _tc(Cut(x, ann, tuple(parts2)), env + ((z2, g),), base, path)
+                sub = _tc(Cut(x, ann, tuple(parts2)), env + ((z2, g),), base, path, memo)
                 return TypingDerivation(
                     "bang-neg-contract", p, env, (sub,), subject=z, object_=z2
                 )
@@ -670,7 +698,7 @@ def _tc(p: Process, env, base: RoleBase, path) -> TypingDerivation:
             subs = []
             for k, q in enumerate(parts):
                 env_k = tuple((z, g) for z, g in env if z in free_names(q))
-                sub = _tc(q, env_k + ((x, IFormula(part_rs[k], ann)),), base, path + (k,))
+                sub = _tc(q, env_k + ((x, IFormula(part_rs[k], ann)),), base, path + (k,), memo)
                 subs.append(sub)
             return TypingDerivation(
                 "n-cut", p, env, tuple(subs), subject=x, rolesets=tuple(part_rs)
@@ -679,14 +707,14 @@ def _tc(p: Process, env, base: RoleBase, path) -> TypingDerivation:
     raise TypeError(p)
 
 
-def _contract_step(p, env, z, base, path):
+def _contract_step(p, env, z, base, path, memo):
     g = _env_lookup(env, z)
     if not _is_query_assoc(g):
         raise ProcessTypeError(f"{z} is used in both branches but is not ?-shaped", path)
     z2 = fresh_name(z)
     assert isinstance(p, InName)
     p2 = InName(p.x, p.rs, p.y, p.r, rename_free(p.left, z, z2), p.right)
-    sub = _tc(p2, env + ((z2, g),), base, path)
+    sub = _tc(p2, env + ((z2, g),), base, path, memo)
     return TypingDerivation("bang-neg-contract", p, env, (sub,), subject=z, object_=z2)
 
 
@@ -1018,8 +1046,14 @@ class SRReport:
 
 
 def check_subject_reduction(p: Process, env: TypeEnv, fuel: int) -> SRReport:
-    """Run the reduction, re-typechecking after every step."""
-    typecheck(p, env)
+    """Run the reduction, re-typechecking after every step.
+
+    One memo spans the run, so a step types only the nodes it built: the
+    rest of the term is shared with the term before and typed already.
+    """
+    items, base = _judgment(p, env)
+    memo: dict = {}
+    _tc(p, items, base, (), memo)
     steps = 0
     while steps < fuel:
         r = step_detailed(p)
@@ -1030,10 +1064,19 @@ def check_subject_reduction(p: Process, env: TypeEnv, fuel: int) -> SRReport:
         p = r.process
         steps += 1
         try:
-            typecheck(p, env)
-        except ProcessTypeError as e:
+            _tc(p, items, base, (), memo)
+        except ProcessTypeError:
             return SRReport(
                 False, steps, p, False, not has_cut(p), True,
-                f"step {steps} broke typing: {e.reason}",
+                f"step {steps} broke typing: {_fresh_reason(p, env)}",
             )
     return SRReport(True, steps, p, True, not has_cut(p), True)
+
+
+def _fresh_reason(p: Process, env: TypeEnv) -> str:
+    """Why a memo-free ``typecheck`` rejects ``p``."""
+    try:
+        typecheck(p, env)
+    except ProcessTypeError as e:
+        return e.reason
+    raise AssertionError("a memoised typing failed where a fresh one passes")

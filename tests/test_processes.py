@@ -399,6 +399,68 @@ def test_subject_reduction_reports_a_stuck_cut(monkeypatch):
     assert rep == processes.SRReport(False, 0, p, False, False, False, "stuck cut")
 
 
+def rule_tree(td):
+    return (td.rule, tuple(rule_tree(s) for s in td.premises))
+
+
+def sr_typings(p, env, fuel):
+    """Run ``check_subject_reduction`` with ``_tc`` counted.  Returns the
+    report and, per whole-term typing, the term, its derivation and the
+    number of ``_tc`` calls that typing made."""
+    real, roots, state = processes._tc, [], {"calls": 0, "depth": 0}
+
+    def spy(q, *args):
+        state["calls"] += 1
+        state["depth"] += 1
+        start = state["calls"]
+        try:
+            td = real(q, *args)
+        finally:
+            state["depth"] -= 1
+        if state["depth"] == 0:
+            roots.append((q, td, state["calls"] - start + 1))
+        return td
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(processes, "_tc", spy)
+        rep = check_subject_reduction(p, env, fuel)
+    return rep, roots
+
+
+def load_deep_session(depth):
+    pf = parse_problem(deep_session(depth))
+    return pf.process, dict(pf.env)
+
+
+SR_CASES = [(n, *load(n)) for n in POSITIVE] + [("deep-session-25", *load_deep_session(25))]
+
+
+@pytest.mark.parametrize("name,p,env", SR_CASES, ids=[c[0] for c in SR_CASES])
+def test_memoised_typings_match_fresh_ones(name, p, env):
+    rep, roots = sr_typings(p, env, 10_000)
+    assert rep.ok and len(roots) == rep.steps + 1
+    for q, td, _ in roots:
+        assert rule_tree(td) == rule_tree(typecheck(q, env))
+    # memo hits mint no fresh names, so only alpha-equivalence is expected
+    assert alpha_equiv(rep.normal_form, normalize(p, 10_000).process)
+
+
+@pytest.mark.parametrize("name", NEGATIVE)
+def test_subject_reduction_rejects_as_typecheck_does(name):
+    p, env = load(name)
+    with pytest.raises(ProcessTypeError) as memoised:
+        check_subject_reduction(p, env, 10)
+    with pytest.raises(ProcessTypeError) as fresh:
+        typecheck(p, env)
+    assert str(memoised.value) == str(fresh.value)
+
+
+def test_subject_reduction_types_only_what_each_step_built():
+    rep, roots = sr_typings(*load_deep_session(200), 2000)
+    assert rep.ok and rep.steps == 201
+    assert max(calls for _, _, calls in roots[1:]) <= 8
+
+
 def test_corrupted_process_fails_before_running():
     p, env = load("neg-swap-inl")
     with pytest.raises(ProcessTypeError):
