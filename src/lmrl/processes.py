@@ -230,11 +230,25 @@ def _bound(p: Process) -> str | None:
 
 
 def free_names(p: Process) -> frozenset[str]:
-    """Free names of ``p``, computed once per node and cached on it."""
+    """Free names of ``p``, computed once per node and cached on it.
+
+    Uncached nodes are filled bottom-up from an explicit stack, so a deep
+    term does not recurse: a node waits on the stack for its first uncached
+    child, and is filled once it has none.
+    """
     cached = getattr(p, "_cached_free", None)
     if cached is None:
-        cached = _free_names(p)
-        object.__setattr__(p, "_cached_free", cached)
+        stack = [p]
+        while stack:
+            q = stack[-1]
+            for c in _children(q):
+                if getattr(c, "_cached_free", None) is None:
+                    stack.append(c)
+                    break
+            else:
+                stack.pop()
+                object.__setattr__(q, "_cached_free", _free_names(q))
+        cached = p._cached_free
     return cached
 
 
@@ -259,7 +273,10 @@ def rename_free(p: Process, old: str, new: str) -> Process:
     Subterms where ``old`` is not free are returned as they are, so a
     renaming copies only the paths down to the occurrences of ``old``.
     """
-    if old == new or old not in free_names(p):
+    if old == new:
+        return p
+    names = free_names(p)
+    if old not in names:
         return p
     if isinstance(p, Cut):
         x, parts = p.x, p.parts
@@ -267,19 +284,23 @@ def rename_free(p: Process, old: str, new: str) -> Process:
             x2 = fresh_name(x)
             parts = tuple(rename_free(q, x, x2) for q in parts)
             x = x2
-        return Cut(x, p.ann, tuple(rename_free(q, old, new) for q in parts))
-    changes = {"x": new} if p.x == old else {}
-    kids = dict(zip(p.kids, _children(p)))
-    y = _bound(p)
-    if y == new:
-        y2 = fresh_name(y)
-        for f in p.scope:
-            kids[f] = rename_free(kids[f], y, y2)
-        changes[p.binder] = y = y2
-    for f in p.kids:
-        if not (y == old and f in p.scope):
-            kids[f] = rename_free(kids[f], old, new)
-    return _rebuild(p, kids.values(), **changes)
+        out = Cut(x, p.ann, tuple(rename_free(q, old, new) for q in parts))
+    else:
+        changes = {"x": new} if p.x == old else {}
+        kids = dict(zip(p.kids, _children(p)))
+        y = _bound(p)
+        if y == new:
+            y2 = fresh_name(y)
+            for f in p.scope:
+                kids[f] = rename_free(kids[f], y, y2)
+            changes[p.binder] = y = y2
+        for f in p.kids:
+            if not (y == old and f in p.scope):
+                kids[f] = rename_free(kids[f], old, new)
+        out = _rebuild(p, kids.values(), **changes)
+    # a capture-avoiding renaming changes just the one free name
+    object.__setattr__(out, "_cached_free", (names - {old}) | {new})
+    return out
 
 
 def strip_cut_annotations(p: Process) -> Process:

@@ -89,6 +89,13 @@ def test_rename_free_stops_at_a_shadowing_binder():
     assert q.left is p.left and q.right == InEmpty("b", S0, 0)
 
 
+def test_free_names_of_a_deep_chain_does_not_recurse():
+    p = InEmpty("x", S0, 0)
+    for k in range(5000):
+        p = (OutEmpty if k % 2 else SelL)(f"a{k % 7}", S1, 0, p)
+    assert free_names(p) == {"x"} | {f"a{k}" for k in range(7)}
+
+
 def subterms(p):
     out, stack = [], [p]
     while stack:
