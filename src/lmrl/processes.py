@@ -233,23 +233,39 @@ def free_names(p: Process) -> frozenset[str]:
     """Free names of ``p``, computed once per node and cached on it.
 
     Uncached nodes are filled bottom-up from an explicit stack, so a deep
-    term does not recurse: a node waits on the stack for its first uncached
-    child, and is filled once it has none.
+    term does not recurse: a node waits on the stack until its children
+    are filled.
     """
     cached = getattr(p, "_cached_free", None)
     if cached is None:
         stack = [p]
         while stack:
             q = stack[-1]
-            for c in _children(q):
-                if getattr(c, "_cached_free", None) is None:
-                    stack.append(c)
-                    break
+            kids = _uncached_children(q)
+            if kids:
+                stack += kids
             else:
                 stack.pop()
-                object.__setattr__(q, "_cached_free", _free_names(q))
+                # a node shared by two waiting parents is pushed twice
+                if getattr(q, "_cached_free", None) is None:
+                    object.__setattr__(q, "_cached_free", _free_names(q))
         cached = p._cached_free
     return cached
+
+
+def _uncached_children(p: Process) -> list[Process]:
+    """The children of ``p`` whose free names are not cached yet."""
+    out = []
+    if isinstance(p, Cut):
+        for q in p.parts:
+            if getattr(q, "_cached_free", None) is None:
+                out.append(q)
+    else:
+        for f in p.kids:
+            q = getattr(p, f)
+            if getattr(q, "_cached_free", None) is None:
+                out.append(q)
+    return out
 
 
 def _free_names(p: Process) -> frozenset[str]:

@@ -96,6 +96,17 @@ def test_free_names_of_a_deep_chain_does_not_recurse():
     assert free_names(p) == {"x"} | {f"a{k}" for k in range(7)}
 
 
+def test_free_names_fills_a_shared_subterm_once(monkeypatch):
+    # x is a child of the cut and of the cut's other part, both unfilled
+    x = OutEmpty("b", S1, 0, InEmpty("z", S0, 0))
+    p = Cut("y", None, (x, OutEmpty("a", S1, 0, x)))
+    seen = []
+    compute = processes._free_names
+    monkeypatch.setattr(processes, "_free_names", lambda q: seen.append(q) or compute(q))
+    assert free_names(p) == {"a", "b", "z"}
+    assert len(seen) == len({id(q) for q in seen}) == 4
+
+
 def subterms(p):
     out, stack = [], [p]
     while stack:
