@@ -255,6 +255,8 @@ def free_names(p: Process) -> frozenset[str]:
 
 def _uncached_children(p: Process) -> list[Process]:
     """The children of ``p`` whose free names are not cached yet."""
+    # reads the fields in place: building the child list first (_children)
+    # cost server-fanout's normalize a few percent
     out = []
     if isinstance(p, Cut):
         for q in p.parts:
