@@ -104,29 +104,41 @@ def _freshen_eigen(d: DForallPos) -> DForallPos:
 
 # ---------------------------------------------------------------------------
 # position bookkeeping helpers
+#
+# Every node lays its conclusion out canonically (see derivation.py): each
+# premise's kept occurrences in premise order, then the major last.  So
+# removing or consuming occurrences only closes up the positions after them:
+# where the rule is known, positions shift by arithmetic, and elsewhere they
+# go through the rule's ``context_maps``.
 
 
-def _prem_to_concl(node: Derivation, k: int) -> dict[int, int]:
-    """Premise-``k`` kept positions -> node conclusion positions."""
-    return {ppos: cpos for cpos, ppos in node.context_maps()[k].items()}
+def _context(d: Derivation, occs, only: int | None = None) -> list[tuple[int, int, int]]:
+    """(position, premise, premise position) of each context occurrence of
+    ``d`` outside ``occs``, in conclusion order.  A with-pos node's context
+    is shared by both branches; pass ``only`` to read it from one of them."""
+    cmaps = d.context_maps()
+    ks = range(len(cmaps)) if only is None else (only,)
+    return [(q, k, p) for k in ks for q, p in cmaps[k].items() if q not in occs]
 
 
-def _contract_chain(d: Derivation, pairs) -> tuple[Derivation, dict[int, int]]:
+def _concl_maps(node: Derivation) -> list[dict[int, int]]:
+    """Per premise, kept premise positions -> ``node`` conclusion positions."""
+    return [dict(zip(cm.values(), cm)) for cm in node.context_maps()]
+
+
+def _contract_chain(d: Derivation, pairs) -> tuple[Derivation, list[int]]:
     """Contract each (keep, drop) position pair in turn.
 
     Returns the final derivation and a translation for surviving positions;
     both members of a pair translate to the contracted occurrence.
     """
-    trans = {p: p for p in range(len(d.concl))}
-    cur = d
+    trans = list(range(len(d.concl)))
     for a, b in pairs:
         ia, ib = trans[a], trans[b]
-        node = DBangNegContract(cur, ia, ib)
-        shift = _prem_to_concl(node, 0)
-        major = len(node.concl) - 1
-        trans = {old: major if cpos in (ia, ib) else shift[cpos] for old, cpos in trans.items()}
-        cur = node
-    return cur, trans
+        d = DBangNegContract(d, ia, ib)
+        top = len(d.concl) - 1
+        trans = [top if c in (ia, ib) else c - (c > ia) - (c > ib) for c in trans]
+    return d, trans
 
 
 # ---------------------------------------------------------------------------
@@ -135,81 +147,43 @@ def _contract_chain(d: Derivation, pairs) -> tuple[Derivation, dict[int, int]]:
 
 def cut1(d: Derivation, occ: int) -> Derivation:
     """Remove an occurrence interpreted at the empty role set."""
-    return _cut1(d, occ)[0]
-
-
-def _cut1(d: Derivation, occ: int) -> tuple[Derivation, dict[int, int]]:
     item = d.concl[occ]
     if not item.roles.is_empty:
         raise CutError(f"occurrence {occ} has roles {item.roles}, not {{}}")
     return _erase(d, occ)
 
 
-def _erase(d: Derivation, occ: int) -> tuple[Derivation, dict[int, int]]:
-    n = len(d.concl)
-    majors = d.major_positions()
-    if occ in majors:
+def _erase(d: Derivation, occ: int) -> Derivation:
+    """``d`` without conclusion occurrence ``occ``.  The other occurrences
+    keep their order, so position ``p`` moves to ``p - (p > occ)``."""
+    if occ in d.major_positions():
         match d:
             case DId(atom=a, rolesets=rss):
                 if len(rss) == 1:
                     raise MalformedDerivation("identity over the empty role set alone")
-                rest = tuple(s for k, s in enumerate(rss) if k != occ)
-                e = DId(a, rest)
-                return e, {p: (p if p < occ else p - 1) for p in range(n) if p != occ}
-            case DOneNeg(premise=p):
-                return p, {q: q for q in range(n - 1)}
-            case DBangNegWeaken(premise=p):
-                return p, {q: q for q in range(n - 1)}
+                return DId(a, rss[:occ] + rss[occ + 1 :])
+            case DOneNeg(premise=p) | DBangNegWeaken(premise=p):
+                return p
             case DTensorNeg(premise=p, i=i, j=j) | DBangNegContract(premise=p, i=i, j=j):
-                e1, m1 = _erase(p, i)
-                e2, m2 = _erase(e1, m1[j])
-                cmap = d.context_maps()[0]
-                return e2, {q: m2[m1[cmap[q]]] for q in range(n) if q != occ}
+                return _erase(_erase(p, i), j - (j > i))
             case DWithNegL(premise=p, i=i) | DWithNegR(premise=p, i=i) | DBangNegDerelict(
                 premise=p, i=i
             ) | DForallNeg(premise=p, i=i):
-                e, m = _erase(p, i)
-                cmap = d.context_maps()[0]
-                return e, {q: m[cmap[q]] for q in range(n) if q != occ}
+                return _erase(p, i)
             case _:
                 raise MalformedDerivation(
                     f"empty-role occurrence introduced by positive rule {d.rule}"
                 )
-    # context occurrence: recurse into the contributing premise(s)
-    cmaps = d.context_maps()
-    if isinstance(d, DWithPos):
-        e1, m1 = _erase(d.left, cmaps[0][occ])
-        e2, m2 = _erase(d.right, cmaps[1][occ])
-        node = d.rebuild((e1, e2), (m1, m2))
-    else:
-        k = 0 if occ in cmaps[0] else 1
-        prems = list(d.premises)
-        e, m = _erase(prems[k], cmaps[k][occ])
-        prems[k] = e
-        maps = [dict() for _ in d.premises]
-        maps[k] = m
-        for other in range(len(d.premises)):
-            if other != k:
-                maps[other] = {p: p for p in range(len(d.premises[other].concl))}
-        node = d.rebuild(prems, maps)
-        m1, m2 = (maps + [None])[0], (maps + [None, None])[1]
-    out = {}
-    shifts = [_prem_to_concl(node, k) for k in range(len(node.premises))]
-    for q in range(n):
-        if q == occ:
-            continue
-        if q in majors:
-            out[q] = len(node.concl) - 1
-            continue
-        for k, cm in enumerate(cmaps):
-            if q in cm:
-                src = cm[q]
-                mapped = (m1 if k == 0 else m2)[src] if isinstance(d, DWithPos) else (
-                    maps[k][src]
-                )
-                out[q] = shifts[k][mapped]
-                break
-    return node, out
+    # context occurrence: erase it in the premise(s) holding it (both
+    # branches of a with-pos) and close up the rule's index fields there
+    prems = list(d.premises)
+    maps = [None] * len(prems)
+    for k, cm in enumerate(d.context_maps()):
+        p = cm.get(occ)
+        if p is not None:
+            prems[k] = _erase(prems[k], p)
+            maps[k] = {i: i - (i > p) for i in d._premise_removed(k)}
+    return d.rebuild(prems, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +205,17 @@ def _pos_part(parts: list[RoleSet], r: int) -> int:
     raise CutError(f"role {r} missing from every part")
 
 
+def _lift(node: Derivation, pos: list[int], j: int | None = None) -> list[int]:
+    """Positions in ``node``'s first premise moved to its conclusion: those
+    after an occurrence the rule consumed close up, and part ``j``'s
+    occurrence becomes the new major."""
+    gone = node._premise_removed(0)
+    out = [p - sum(p > g for g in gone) for p in pos]
+    if j is not None:
+        out[j] = len(node.concl) - 1
+    return out
+
+
 def _eta(a: Formula, parts: list[RoleSet]) -> tuple[Derivation, list[int]]:
     n = len(parts)
     match a:
@@ -239,79 +224,59 @@ def _eta(a: Formula, parts: list[RoleSet]) -> tuple[Derivation, list[int]]:
         case One(r):
             k = _pos_part(parts, r)
             d: Derivation = DOnePos(parts[k], r)
-            pos = {k: 0}
+            pos = [0] * n
             for j in range(n):
                 if j != k:
                     d = DOneNeg(parts[j], r, d)
                     pos[j] = len(d.concl) - 1
-            return d, [pos[j] for j in range(n)]
+            return d, pos
         case Tensor(r, a1, a2):
             k = _pos_part(parts, r)
             d1, p1 = _eta(a1, parts)
             d2, p2 = _eta(a2, parts)
             d = DTensorPos(r, d1, p1[k], d2, p2[k])
-            sh1, sh2 = _prem_to_concl(d, 0), _prem_to_concl(d, 1)
-            left = {j: sh1[p1[j]] for j in range(n) if j != k}
-            right = {j: sh2[p2[j]] for j in range(n) if j != k}
-            pos = {k: len(d.concl) - 1}
+            n1 = len(d1.concl) - 1
+            left = _lift(d, p1)
+            right = [n1 + p - (p > d.j) for p in p2]
+            # part j's entry in pos is set once its tensor forms
+            pos = [len(d.concl) - 1] * n
             for j in range(n):
-                if j == k:
-                    continue
-                d2n = DTensorNeg(r, d, left[j], right[j])
-                sh = _prem_to_concl(d2n, 0)
-                left = {q: sh[p] for q, p in left.items() if q != j}
-                right = {q: sh[p] for q, p in right.items() if q != j}
-                pos = {q: sh[p] for q, p in pos.items()}
-                pos[j] = len(d2n.concl) - 1
-                d = d2n
-            return d, [pos[j] for j in range(n)]
+                if j != k:
+                    d = DTensorNeg(r, d, left[j], right[j])
+                    left, right, pos = _lift(d, left), _lift(d, right), _lift(d, pos, j)
+            return d, pos
         case With(r, a1, a2):
             k = _pos_part(parts, r)
             d1, p1 = _eta(a1, parts)
             d2, p2 = _eta(a2, parts)
             for j in range(n):
-                if j == k:
-                    continue
-                node = DWithNegL(r, a2, d1, p1[j])
-                sh = _prem_to_concl(node, 0)
-                p1 = [len(node.concl) - 1 if q == j else sh[p1[q]] for q in range(n)]
-                d1 = node
-                node = DWithNegR(r, a1, d2, p2[j])
-                sh = _prem_to_concl(node, 0)
-                p2 = [len(node.concl) - 1 if q == j else sh[p2[q]] for q in range(n)]
-                d2 = node
+                if j != k:
+                    d1 = DWithNegL(r, a2, d1, p1[j])
+                    p1 = _lift(d1, p1, j)
+                    d2 = DWithNegR(r, a1, d2, p2[j])
+                    p2 = _lift(d2, p2, j)
             d = DWithPos(r, d1, p1[k], d2, p2[k])
-            sh = _prem_to_concl(d, 0)
-            out = [len(d.concl) - 1 if j == k else sh[p1[j]] for j in range(n)]
-            return d, out
+            return d, _lift(d, p1, k)
         case Bang(r, b):
             k = _pos_part(parts, r)
             d, p = _eta(b, parts)
             for j in range(n):
-                if j == k:
-                    continue
-                node = DBangNegDerelict(r, d, p[j])
-                sh = _prem_to_concl(node, 0)
-                p = [len(node.concl) - 1 if q == j else sh[p[q]] for q in range(n)]
-                d = node
-            node = DBangPos(r, d, p[k])
-            sh = _prem_to_concl(node, 0)
-            return node, [len(node.concl) - 1 if j == k else sh[p[j]] for j in range(n)]
+                if j != k:
+                    d = DBangNegDerelict(r, d, p[j])
+                    p = _lift(d, p, j)
+            d = DBangPos(r, d, p[k])
+            return d, _lift(d, p, k)
         case Forall(r, x, b):
             k = _pos_part(parts, r)
             z = fresh_name(x)
             bz = subst_formula(b, x, Var(z))
             d, p = _eta(bz, parts)
             for j in range(n):
-                if j == k:
-                    continue
-                node = DForallNeg(r, x, b, Var(z), d, p[j])
-                sh = _prem_to_concl(node, 0)
-                p = [len(node.concl) - 1 if q == j else sh[p[q]] for q in range(n)]
-                d = node
-            node = DForallPos(r, z, d, p[k])
-            sh = _prem_to_concl(node, 0)
-            return node, [len(node.concl) - 1 if j == k else sh[p[j]] for j in range(n)]
+                if j != k:
+                    d = DForallNeg(r, x, b, Var(z), d, p[j])
+                    p = _lift(d, p, j)
+            d = DForallPos(r, z, d, p[k])
+            return d, _lift(d, p, k)
     raise TypeError(a)
 
 
@@ -319,7 +284,7 @@ def _eta(a: Formula, parts: list[RoleSet]) -> tuple[Derivation, list[int]]:
 # the generalized two-sequent cut
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Side:
     d: Derivation
     occs: frozenset[int]
@@ -356,7 +321,7 @@ class CutSpec:
 
 
 def _is_principal(d: Derivation, occs: frozenset[int]) -> bool:
-    return bool(set(d.major_positions()) & occs)
+    return not occs.isdisjoint(d.major_positions())
 
 
 def _spill(s1: _Side, s2: _Side, cutf: Formula, parent) -> tuple[Derivation, dict, dict, int]:
@@ -415,97 +380,47 @@ def _spill_terminal(sides, cutf) -> tuple[Derivation, dict, dict, int]:
 
 
 def _commute(sc: _Side, so: _Side, cutf: Formula, measure):
-    """Push the cut above ``sc``'s last rule (not principal on its side)."""
+    """Push the cut above ``sc``'s last rule (not principal on its side).
+
+    Each premise holding a designated occurrence is cut against ``so``; a
+    with-pos holds them all in both branches, whose shared context is read
+    from the left.  The rule is rebuilt once over the cut premises.
+    """
     d = sc.d
     if isinstance(d, DForallPos):
         d = _freshen_eigen(d)
-    cmaps = d.context_maps()
-    majors = d.major_positions()
-
-    if len(d.premises) == 1:
-        cmap = cmaps[0]
-        prem_occs = frozenset(cmap[p] for p in sc.occs)
-        e, op, oo, sp = _spill(_Side(d.premises[0], prem_occs, sc.rs), so, cutf, measure)
-        node = d.rebuild((e,), (op,))
-        shift = _prem_to_concl(node, 0)
-        out_c = {}
-        for q in range(len(d.concl)):
-            if q in sc.occs:
-                continue
-            if q in majors:
-                out_c[q] = len(node.concl) - 1
-            else:
-                out_c[q] = shift[op[cmap[q]]]
-        out_o = {q: shift[oo[q]] for q in oo}
-        return node, out_c, out_o, shift[sp]
-
-    cm0, cm1 = cmaps
-    des0 = frozenset(cm0[p] for p in sc.occs if p in cm0)
-    des1 = frozenset(cm1[p] for p in sc.occs if p in cm1)
-
-    if isinstance(d, DWithPos):
-        e1, o1p, o1o, sp1 = _spill(_Side(d.left, des0, sc.rs), so, cutf, measure)
-        e2, o2p, o2o, sp2 = _spill(_Side(d.right, des1, sc.rs), so, cutf, measure)
-        node = d.rebuild((e1, e2), (o1p, o2p))
-        shift = _prem_to_concl(node, 0)
-        out_c = {}
-        for q in range(len(d.concl)):
-            if q in sc.occs:
-                continue
-            if q in majors:
-                out_c[q] = len(node.concl) - 1
-            else:
-                out_c[q] = shift[o1p[cm0[q]]]
-        out_o = {q: shift[o1o[q]] for q in o1o}
-        return node, out_c, out_o, shift[sp1]
-
-    assert isinstance(d, DTensorPos)
-    if not des1 or not des0:
-        k = 0 if des1 == frozenset() else 1
-        prem = d.premises[k]
-        des = des0 if k == 0 else des1
-        e, op, oo, sp = _spill(_Side(prem, des, sc.rs), so, cutf, measure)
-        prems, maps = [d.left, d.right], [None, None]
-        prems[k], maps[k] = e, op
-        node = d.rebuild(prems, maps)
-        sh_new = _prem_to_concl(node, k)
-        sh_old = _prem_to_concl(node, 1 - k)
-        out_c = {}
-        for q in range(len(d.concl)):
-            if q in sc.occs:
-                continue
-            if q in majors:
-                out_c[q] = len(node.concl) - 1
-            elif q in cmaps[k]:
-                out_c[q] = sh_new[op[cmaps[k][q]]]
-            else:
-                out_c[q] = sh_old[cmaps[1 - k][q]]
-        out_o = {q: sh_new[oo[q]] for q in oo}
-        return node, out_c, out_o, sh_new[sp]
-
-    # Designated occurrences split across both premises: cut each premise
-    # against the other side, then re-contract the duplicated ?-context.
-    assert isinstance(cutf, Bang) and isinstance(so.d, DBangPos)
-    e1, o1p, o1o, sp1 = _spill(_Side(d.left, des0, sc.rs), so, cutf, measure)
-    e2, o2p, o2o, sp2 = _spill(_Side(d.right, des1, sc.rs), so, cutf, measure)
-    node = DTensorPos(d.r, e1, o1p[d.i], e2, o2p[d.j])
-    shl, shr = _prem_to_concl(node, 0), _prem_to_concl(node, 1)
-    pairs = [(shl[sp1], shr[sp2])]
-    for q in o1o:
-        pairs.append((shl[o1o[q]], shr[o2o[q]]))
-    final, tr = _contract_chain(node, pairs)
+    occs, cmaps = sc.occs, d.context_maps()
+    prems, ops, cuts = list(d.premises), [None] * len(cmaps), []
+    for k, cm in enumerate(cmaps):
+        des = frozenset(cm[q] for q in occs if q in cm)
+        if des:
+            prems[k], ops[k], oo, sp = _spill(_Side(prems[k], des, sc.rs), so, cutf, measure)
+            cuts.append((k, oo, sp))
+    node = d.rebuild(prems, ops)
+    shs = _concl_maps(node)
     out_c = {}
-    for q in range(len(d.concl)):
-        if q in sc.occs:
-            continue
-        if q in majors:
-            out_c[q] = tr[len(node.concl) - 1]
-        elif q in cm0:
-            out_c[q] = tr[shl[o1p[cm0[q]]]]
-        else:
-            out_c[q] = tr[shr[o2p[cm1[q]]]]
-    out_o = {q: tr[shl[o1o[q]]] for q in o1o}
-    return final, out_c, out_o, tr[shl[sp1]]
+    for cm, sh, op in zip(cmaps[:1] if isinstance(d, DWithPos) else cmaps, shs, ops):
+        for q, p in cm.items():
+            if op is None:
+                out_c[q] = sh[p]
+            elif q not in occs:
+                out_c[q] = sh[op[p]]
+    out_c[len(d.concl) - 1] = len(node.concl) - 1
+    k, oo, sp = cuts[0]
+    sh = shs[k]
+    out_o = {q: sh[c] for q, c in oo.items()}
+    sp = sh[sp]
+    if len(cuts) == 2 and isinstance(d, DTensorPos):
+        # Designated occurrences split across both premises: ``so`` was cut
+        # into each, so re-contract its duplicated ?-context and spill.
+        assert isinstance(cutf, Bang) and isinstance(so.d, DBangPos)
+        _, oo1, sp1 = cuts[1]
+        pairs = [(sp, shs[1][sp1])] + [(out_o[q], shs[1][oo1[q]]) for q in oo]
+        node, tr = _contract_chain(node, pairs)
+        out_c = {q: tr[c] for q, c in out_c.items()}
+        out_o = {q: tr[c] for q, c in out_o.items()}
+        sp = tr[sp]
+    return node, out_c, out_o, sp
 
 
 def _principal_pair(s1: _Side, s2: _Side, cutf: Formula, measure):
@@ -551,67 +466,39 @@ def _principal_pair(s1: _Side, s2: _Side, cutf: Formula, measure):
     raise TypeError(cutf)
 
 
+def _premise_side(s: _Side, k: str) -> _Side:
+    """The premise of ``s``'s rule that index field ``k`` addresses (``j``
+    a right premise), with that occurrence designated."""
+    d = s.d
+    return _Side(d.right if k == "j" else d.premises[0], frozenset((getattr(d, k),)), s.rs)
+
+
 def _principal_tensor(s1, s2, cutf, measure, spillset):
     ro, a1, a2 = cutf.r, cutf.left, cutf.right
     in1, in2 = ro in s1.rs, ro in s2.rs
     if in1 and in2:
         d1, d2 = s1.d, s2.d
-        e1, oL1, oL2, sp1 = _spill(
-            _Side(d1.left, frozenset((d1.i,)), s1.rs),
-            _Side(d2.left, frozenset((d2.i,)), s2.rs),
-            a1,
-            measure,
-        )
-        e2, oR1, oR2, sp2 = _spill(
-            _Side(d1.right, frozenset((d1.j,)), s1.rs),
-            _Side(d2.right, frozenset((d2.j,)), s2.rs),
-            a2,
-            measure,
-        )
+        e1, oL1, oL2, sp1 = _spill(_premise_side(s1, "i"), _premise_side(s2, "i"), a1, measure)
+        e2, oR1, oR2, sp2 = _spill(_premise_side(s1, "j"), _premise_side(s2, "j"), a2, measure)
         node = DTensorPos(ro, e1, sp1, e2, sp2)
-        shl, shr = _prem_to_concl(node, 0), _prem_to_concl(node, 1)
-        cm1l, cm1r = d1.context_maps()
-        cm2l, cm2r = d2.context_maps()
-        o1, o2 = {}, {}
-        for q in range(len(d1.concl)):
-            if q in s1.occs:
-                continue
-            o1[q] = shl[oL1[cm1l[q]]] if q in cm1l else shr[oR1[cm1r[q]]]
-        for q in range(len(d2.concl)):
-            if q in s2.occs:
-                continue
-            o2[q] = shl[oL2[cm2l[q]]] if q in cm2l else shr[oR2[cm2r[q]]]
+        shs = _concl_maps(node)
+        o1 = {q: shs[k][(oL1, oR1)[k][p]] for q, k, p in _context(d1, s1.occs)}
+        o2 = {q: shs[k][(oL2, oR2)[k][p]] for q, k, p in _context(d2, s2.occs)}
         return node, o1, o2, len(node.concl) - 1
 
     sp_, sn_, pos_is_1 = ((s1, s2, True) if in1 else (s2, s1, False))
     tp, tn = sp_.d, sn_.d
     assert isinstance(tp, DTensorPos) and isinstance(tn, DTensorNeg)
-    e1, oL, oN, sp1 = _spill(
-        _Side(tp.left, frozenset((tp.i,)), sp_.rs),
-        _Side(tn.premise, frozenset((tn.i,)), sn_.rs),
-        a1,
-        measure,
-    )
-    qb = oN[tn.j]
+    e1, oL, oN, sp1 = _spill(_premise_side(sp_, "i"), _premise_side(sn_, "i"), a1, measure)
     e2, oR, oE1, sp2 = _spill(
-        _Side(tp.right, frozenset((tp.j,)), sp_.rs),
-        _Side(e1, frozenset((qb,)), sn_.rs),
-        a2,
-        measure,
+        _premise_side(sp_, "j"), _Side(e1, frozenset((oN[tn.j],)), sn_.rs), a2, measure
     )
     node = DTensorNeg(ro, e2, oE1[sp1], sp2)
-    sh = _prem_to_concl(node, 0)
-    cmpl, cmpr = tp.context_maps()
-    cmn = tn.context_maps()[0]
-    op, on = {}, {}
-    for q in range(len(tp.concl)):
-        if q in sp_.occs:
-            continue
-        op[q] = sh[oE1[oL[cmpl[q]]]] if q in cmpl else sh[oR[cmpr[q]]]
-    for q in range(len(tn.concl)):
-        if q in sn_.occs:
-            continue
-        on[q] = sh[oE1[oN[cmn[q]]]]
+    (sh,) = _concl_maps(node)
+    op = {
+        q: sh[oE1[oL[p]]] if k == 0 else sh[oR[p]] for q, k, p in _context(tp, sp_.occs)
+    }
+    on = {q: sh[oE1[oN[p]]] for q, _, p in _context(tn, sn_.occs)}
     res = (node, op, on, len(node.concl) - 1)
     return res if pos_is_1 else (node, on, op, len(node.concl) - 1)
 
@@ -621,62 +508,28 @@ def _principal_with(s1, s2, cutf, measure, spillset):
     in1, in2 = ro in s1.rs, ro in s2.rs
     if in1 and in2:
         d1, d2 = s1.d, s2.d
-        e1, oL1, oL2, sp1 = _spill(
-            _Side(d1.left, frozenset((d1.i,)), s1.rs),
-            _Side(d2.left, frozenset((d2.i,)), s2.rs),
-            a1,
-            measure,
-        )
-        e2, oR1, oR2, sp2 = _spill(
-            _Side(d1.right, frozenset((d1.j,)), s1.rs),
-            _Side(d2.right, frozenset((d2.j,)), s2.rs),
-            a2,
-            measure,
-        )
+        e1, oL1, oL2, sp1 = _spill(_premise_side(s1, "i"), _premise_side(s2, "i"), a1, measure)
+        e2, oR1, oR2, sp2 = _spill(_premise_side(s1, "j"), _premise_side(s2, "j"), a2, measure)
         node = DWithPos(ro, e1, sp1, e2, sp2)
-        sh = _prem_to_concl(node, 0)
-        cm1 = d1.context_maps()[0]
-        cm2 = d2.context_maps()[0]
-        o1 = {
-            q: sh[oL1[cm1[q]]]
-            for q in range(len(d1.concl))
-            if q not in s1.occs and q in cm1
-        }
-        o2 = {
-            q: sh[oL2[cm2[q]]]
-            for q in range(len(d2.concl))
-            if q not in s2.occs and q in cm2
-        }
+        sh = _concl_maps(node)[0]
+        o1 = {q: sh[oL1[p]] for q, _, p in _context(d1, s1.occs, 0)}
+        o2 = {q: sh[oL2[p]] for q, _, p in _context(d2, s2.occs, 0)}
         return node, o1, o2, len(node.concl) - 1
 
     sp_, sn_, pos_is_1 = ((s1, s2, True) if in1 else (s2, s1, False))
     wp, wn = sp_.d, sn_.d
     assert isinstance(wp, DWithPos) and isinstance(wn, (DWithNegL, DWithNegR))
     take_left = isinstance(wn, DWithNegL)
-    branch, bpos = (wp.left, wp.i) if take_left else (wp.right, wp.j)
-    ak = a1 if take_left else a2
     e, opb, onp, spp = _spill(
-        _Side(branch, frozenset((bpos,)), sp_.rs),
-        _Side(wn.premise, frozenset((wn.i,)), sn_.rs),
-        ak,
+        _premise_side(sp_, "i" if take_left else "j"),
+        _premise_side(sn_, "i"),
+        a1 if take_left else a2,
         measure,
     )
-    node = (
-        DWithNegL(ro, a2, e, spp) if take_left else DWithNegR(ro, a1, e, spp)
-    )
-    sh = _prem_to_concl(node, 0)
-    cmp_ = wp.context_maps()[0 if take_left else 1]
-    cmn = wn.context_maps()[0]
-    op = {
-        q: sh[opb[cmp_[q]]]
-        for q in range(len(wp.concl))
-        if q not in sp_.occs and q in cmp_
-    }
-    on = {
-        q: sh[onp[cmn[q]]]
-        for q in range(len(wn.concl))
-        if q not in sn_.occs
-    }
+    node = DWithNegL(ro, a2, e, spp) if take_left else DWithNegR(ro, a1, e, spp)
+    (sh,) = _concl_maps(node)
+    op = {q: sh[opb[p]] for q, _, p in _context(wp, sp_.occs, 0 if take_left else 1)}
+    on = {q: sh[onp[p]] for q, _, p in _context(wn, sn_.occs)}
     res = (node, op, on, len(node.concl) - 1)
     return res if pos_is_1 else (node, on, op, len(node.concl) - 1)
 
@@ -698,11 +551,9 @@ def _principal_forall(s1, s2, cutf, measure, spillset):
             measure,
         )
         node = DForallPos(ro, z, e, sp)
-        sh = _prem_to_concl(node, 0)
-        cm1 = d1.context_maps()[0]
-        cm2 = d2.context_maps()[0]
-        o1 = {q: sh[o1p[cm1[q]]] for q in range(len(d1.concl)) if q not in s1.occs}
-        o2 = {q: sh[o2p[cm2[q]]] for q in range(len(d2.concl)) if q not in s2.occs}
+        (sh,) = _concl_maps(node)
+        o1 = {q: sh[o1p[p]] for q, _, p in _context(d1, s1.occs)}
+        o2 = {q: sh[o2p[p]] for q, _, p in _context(d2, s2.occs)}
         return node, o1, o2, len(node.concl) - 1
 
     sp_, sn_, pos_is_1 = ((s1, s2, True) if in1 else (s2, s1, False))
@@ -712,18 +563,13 @@ def _principal_forall(s1, s2, cutf, measure, spillset):
     pprem = subst_derivation(fp.premise, fp.eigen, t)
     bstar = pprem.concl[fp.i].body
     e, opp, onp, spx = _spill(
-        _Side(pprem, frozenset((fp.i,)), sp_.rs),
-        _Side(fn.premise, frozenset((fn.i,)), sn_.rs),
-        bstar,
-        measure,
+        _Side(pprem, frozenset((fp.i,)), sp_.rs), _premise_side(sn_, "i"), bstar, measure
     )
     body = fp.premise.concl[fp.i].body
     node = DForallNeg(ro, fp.eigen, body, t, e, spx)
-    sh = _prem_to_concl(node, 0)
-    cmp_ = fp.context_maps()[0]
-    cmn = fn.context_maps()[0]
-    op = {q: sh[opp[cmp_[q]]] for q in range(len(fp.concl)) if q not in sp_.occs}
-    on = {q: sh[onp[cmn[q]]] for q in range(len(fn.concl)) if q not in sn_.occs}
+    (sh,) = _concl_maps(node)
+    op = {q: sh[opp[p]] for q, _, p in _context(fp, sp_.occs)}
+    on = {q: sh[onp[p]] for q, _, p in _context(fn, sn_.occs)}
     res = (node, op, on, len(node.concl) - 1)
     return res if pos_is_1 else (node, on, op, len(node.concl) - 1)
 
@@ -734,82 +580,46 @@ def _principal_bang(s1, s2, cutf, measure, spillset):
     if in1 and in2:
         d1, d2 = s1.d, s2.d
         assert isinstance(d1, DBangPos) and isinstance(d2, DBangPos)
-        e, o1p, o2p, sp = _spill(
-            _Side(d1.premise, frozenset((d1.i,)), s1.rs),
-            _Side(d2.premise, frozenset((d2.i,)), s2.rs),
-            cutf.body,
-            measure,
-        )
+        e, o1p, o2p, sp = _spill(_premise_side(s1, "i"), _premise_side(s2, "i"), cutf.body, measure)
         node = DBangPos(rb, e, sp)
-        sh = _prem_to_concl(node, 0)
-        cm1 = d1.context_maps()[0]
-        cm2 = d2.context_maps()[0]
-        o1 = {q: sh[o1p[cm1[q]]] for q in range(len(d1.concl)) if q not in s1.occs}
-        o2 = {q: sh[o2p[cm2[q]]] for q in range(len(d2.concl)) if q not in s2.occs}
+        (sh,) = _concl_maps(node)
+        o1 = {q: sh[o1p[p]] for q, _, p in _context(d1, s1.occs)}
+        o2 = {q: sh[o2p[p]] for q, _, p in _context(d2, s2.occs)}
         return node, o1, o2, len(node.concl) - 1
 
     sp_, sn_, pos_is_1 = ((s1, s2, True) if in1 else (s2, s1, False))
     bp, nd = sp_.d, sn_.d
     assert isinstance(bp, DBangPos)
-    major = len(nd.concl) - 1
-    cmn = nd.context_maps()[0]
-
-    if isinstance(nd, DBangNegWeaken):
-        prem_occs = frozenset(cmn[p] for p in sn_.occs if p != major)
-        e, op, onp, sp = _spill(
-            sp_, _Side(nd.premise, prem_occs, sn_.rs), cutf, measure
-        )
-        on = {q: onp[cmn[q]] for q in range(len(nd.concl)) if q not in sn_.occs}
-        res = (e, op, on, sp)
-        return res if pos_is_1 else (e, on, op, sp)
-
+    assert isinstance(nd, (DBangNegWeaken, DBangNegContract, DBangNegDerelict))
+    # Cut the positive side into the negative rule's premise against the
+    # designated occurrences left there: a contraction's two copies, or none
+    # after a weakening (the spill then weakens in).
+    ctx = _context(nd, ())
+    prem_occs = frozenset(p for q, _, p in ctx if q in sn_.occs)
     if isinstance(nd, DBangNegContract):
-        prem_occs = frozenset(cmn[p] for p in sn_.occs if p != major) | {nd.i, nd.j}
-        e, op, onp, sp = _spill(
-            sp_, _Side(nd.premise, prem_occs, sn_.rs), cutf, measure
+        prem_occs |= {nd.i, nd.j}
+    e, op, onp, sp = _spill(sp_, _Side(nd.premise, prem_occs, sn_.rs), cutf, measure)
+    on = {q: onp[p] for q, _, p in ctx if q not in sn_.occs}
+    if isinstance(nd, DBangNegDerelict):
+        # a dereliction's body is then cut against the positive premise,
+        # duplicating its ?-context, which is contracted back
+        e2, o2pp, o2e1, sp2 = _spill(
+            _premise_side(sp_, "i"),
+            _Side(e, frozenset((onp[nd.i],)), sn_.rs),
+            cutf.body,
+            measure,
         )
-        on = {q: onp[cmn[q]] for q in range(len(nd.concl)) if q not in sn_.occs}
-        res = (e, op, on, sp)
-        return res if pos_is_1 else (e, on, op, sp)
-
-    assert isinstance(nd, DBangNegDerelict)
-    prem_occs = frozenset(cmn[p] for p in sn_.occs if p != major)
-    e1, o1p, o1n, sp1 = _spill(
-        sp_, _Side(nd.premise, prem_occs, sn_.rs), cutf, measure
-    )
-    qb = o1n[nd.i]
-    e2, o2pp, o2e1, sp2 = _spill(
-        _Side(bp.premise, frozenset((bp.i,)), sp_.rs),
-        _Side(e1, frozenset((qb,)), sn_.rs),
-        cutf.body,
-        measure,
-    )
-    e3 = DBangNegDerelict(rb, e2, sp2)
-    sh3 = _prem_to_concl(e3, 0)
-    c_old = sh3[o2e1[sp1]]
-    c_new = len(e3.concl) - 1
-    pairs = [(c_old, c_new)]
-    cmbp = bp.context_maps()[0]
-    for q in range(len(bp.concl)):
-        if q in sp_.occs:
-            continue
-        copy_a = sh3[o2e1[o1p[q]]]
-        copy_b = sh3[o2pp[cmbp[q]]]
-        pairs.append((copy_a, copy_b))
-    final, tr = _contract_chain(e3, pairs)
-    op = {}
-    for q in range(len(bp.concl)):
-        if q in sp_.occs:
-            continue
-        op[q] = tr[sh3[o2e1[o1p[q]]]]
-    on = {}
-    for q in range(len(nd.concl)):
-        if q in sn_.occs:
-            continue
-        on[q] = tr[sh3[o2e1[o1n[cmn[q]]]]]
-    spill_pos = tr[c_old]
-    res = (final, op, on, spill_pos)
-    return res if pos_is_1 else (final, on, op, spill_pos)
+        e3 = DBangNegDerelict(rb, e2, sp2)
+        (sh3,) = _concl_maps(e3)
+        c_old = sh3[o2e1[sp]]
+        pairs = [(c_old, len(e3.concl) - 1)]
+        for q, _, p in _context(bp, sp_.occs):
+            pairs.append((sh3[o2e1[op[q]]], sh3[o2pp[p]]))
+        e, tr = _contract_chain(e3, pairs)
+        op = {q: tr[sh3[o2e1[c]]] for q, c in op.items()}
+        on = {q: tr[sh3[o2e1[c]]] for q, c in on.items()}
+        sp = tr[c_old]
+    return (e, op, on, sp) if pos_is_1 else (e, on, op, sp)
 
 
 # ---------------------------------------------------------------------------
@@ -857,8 +667,8 @@ def cutn(spec: CutSpec) -> Derivation:
         occs = sorted(s.occs)
         while occs:
             occ = occs.pop(0)
-            e, m = _cut1(e, occ)
-            occs = [m[o] for o in occs]
+            e = cut1(e, occ)
+            occs = [o - (o > occ) for o in occs]
         return e
     cur = sides[0]
     for nxt in sides[1:]:

@@ -4,7 +4,9 @@ Each node records the data needed to recompute its conclusion from its
 premises: occurrence indices into premise conclusions plus whatever the
 rule invents (witness terms, weakened formulas, ...).  Conclusions are
 laid out canonically: kept premise occurrences in premise order, then the
-major occurrence last (identity-style leaves consist of majors only).
+major occurrence last (identity-style leaves consist of majors only).  So
+erasing occurrence ``occ`` from a derivation (``cutelim._erase``) keeps the
+others in order, at ``p - (p > occ)``; cut elimination relies on it.
 Stated conclusions in serialized derivations are checked against the
 recomputed ones up to permutation.
 
@@ -649,9 +651,7 @@ def checks(d: Derivation, calc: Calculus = Calculus.CONJ) -> bool:
     try:
         check(d, calc)
         return True
-    except RuleViolation:
-        return False
-    except MalformedDerivation:
+    except (RuleViolation, MalformedDerivation):
         return False
 
 

@@ -6,7 +6,6 @@ parser reads (see GRAMMAR.md).
 
 from __future__ import annotations
 
-from .roles import RoleBase
 from .syntax import (
     Atom,
     Bang,
@@ -21,7 +20,7 @@ from .syntax import (
     Var,
     With,
 )
-from .derivation import Calculus, Derivation, RULE_LABELS
+from .derivation import Derivation
 from .processes import (
     Case,
     ClientRequest,
@@ -119,10 +118,6 @@ def format_sequent(g: Sequent) -> str:
     return "|- " + ", ".join(format_iformula(f) for f in g.items)
 
 
-def format_base(base: RoleBase) -> str:
-    return f"base {base.size}" if base.is_finite else "base omega"
-
-
 def format_derivation(d: Derivation, indent: int = 0) -> str:
     pad = "  " * indent
     head = f"(rule {d.rule}"
@@ -141,10 +136,6 @@ def format_derivation(d: Derivation, indent: int = 0) -> str:
     return "\n".join(lines) + ")"
 
 
-def rule_label(d: Derivation, calc: Calculus) -> str:
-    return RULE_LABELS[calc][d.rule]
-
-
 def format_process(p: Process) -> str:
     if isinstance(p, Cut):
         inner = " | ".join(format_process(q) for q in p.parts)
@@ -158,8 +149,3 @@ def format_process(p: Process) -> str:
     kids = [format_process(getattr(p, f)) for f in p.kids]
     cont = f"({sep.join(kids)})" if len(kids) == 2 else kids[0] if kids else "end"
     return f"{sigil}{p.x}{p.rs}{brackets[0]}{word}{brackets[1]}@{roles}.{cont}"
-
-
-def format_env(env) -> str:
-    items = env.items() if hasattr(env, "items") else env
-    return ", ".join(f"{z} : {format_iformula(f)}" for z, f in items)

@@ -274,10 +274,7 @@ def _free_names(p: Process) -> frozenset[str]:
     """Free names of ``p`` from the cached sets of its children."""
     # each union starts from a frozenset, so every result is one too
     if isinstance(p, Cut):
-        out = frozenset()
-        for q in p.parts:
-            out |= free_names(q)
-        return out - {p.x}
+        return frozenset().union(*map(free_names, p.parts)) - {p.x}
     out, y = frozenset((p.x,)), _bound(p)
     for f in p.kids:
         names = free_names(getattr(p, f))

@@ -125,10 +125,6 @@ def union(r1: RoleSet, r2: RoleSet) -> RoleSet:
     return complement(intersect(complement(r1), complement(r2)))
 
 
-def difference(r1: RoleSet, r2: RoleSet) -> RoleSet:
-    return intersect(r1, complement(r2))
-
-
 def is_disjoint(r1: RoleSet, r2: RoleSet) -> bool:
     return intersect(r1, r2).is_empty
 

@@ -1,5 +1,13 @@
+import glob
+import os
+import sys
+
 import pytest
 
+sys.path.insert(0, os.path.dirname(__file__))
+from worlds import eligible_spill_pairs, enumerate_derivations
+
+from lmrl import cutelim
 from lmrl import roles as rl
 from lmrl.cutelim import (
     CutError,
@@ -34,6 +42,7 @@ from lmrl.derivation import (
     dualize,
     height,
 )
+from lmrl.parser import parse_problem
 from lmrl.syntax import (
     Atom,
     Bang,
@@ -52,6 +61,7 @@ B3 = rl.finite_base(3)
 S0, S1, S01 = rl.roleset(B2, [0]), rl.roleset(B2, [1]), rl.roleset(B2, [0, 1])
 E2 = rl.empty_set(B2)
 a, b = Atom("a"), Atom("b")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def iseq(*pairs):
@@ -270,6 +280,50 @@ def test_eta_cut_identity_small():
             e = eta_expand(formula, [rl.complement(rs), rs])
             out = cut2(d, occ_of(d, rl.complement(rs)), e, occ_of(e, rs))
             assert check(out) == d.concl
+
+
+# ---------------------------------------------------------------------------
+# erasure keeps the order of the other occurrences
+
+
+def corpus_derivations():
+    """Every corpus derivation that checks, the disjunctive ones dualized."""
+    pattern = os.path.join(ROOT, "corpus", "logic", "**", "*.drv")
+    for path in sorted(glob.glob(pattern, recursive=True)):
+        with open(path) as f:
+            d = parse_problem(f.read()).derivation
+        if checks(d, Calculus.CONJ):
+            yield d
+        elif checks(d, Calculus.DISJ):
+            yield dualize(d)
+
+
+def test_erase_keeps_the_order_of_the_other_occurrences(monkeypatch):
+    # the cuts translate positions after an erasure by p -> p - (p > occ);
+    # every recursive call goes through the wrapper too
+    erase, calls = cutelim._erase, []
+
+    def checked(d, occ):
+        out = erase(d, occ)
+        keys = [f.key() for f in d.concl]
+        assert [f.key() for f in out.concl] == keys[:occ] + keys[occ + 1 :]
+        calls.append(occ)
+        return out
+
+    monkeypatch.setattr(cutelim, "_erase", checked)
+    # the criterion-2 world: the complementary pairs are the ones whose cut
+    # erases its spill
+    for base in (B2, B3):
+        world = enumerate_derivations(base, level_cap=60, binary_base_cap=12)
+        for d1, i, d2, j in eligible_spill_pairs(world):
+            if d2.concl[j].roles == rl.complement(d1.concl[i].roles):
+                cut2(d1, i, d2, j)
+    # every corpus occurrence, cut against its eta expansion
+    for d in corpus_derivations():
+        for i, f in enumerate(d.concl):
+            e = eta_expand(f.body, [rl.complement(f.roles), f.roles])
+            cut2(d, i, e, occ_of(e, rl.complement(f.roles), f.body))
+    assert len(calls) > 1000
 
 
 # ---------------------------------------------------------------------------

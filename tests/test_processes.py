@@ -1,5 +1,6 @@
 import glob
 import os
+import time
 from dataclasses import fields
 
 import pytest
@@ -105,6 +106,25 @@ def test_free_names_fills_a_shared_subterm_once(monkeypatch):
     monkeypatch.setattr(processes, "_free_names", lambda q: seen.append(q) or compute(q))
     assert free_names(p) == {"a", "b", "z"}
     assert len(seen) == len({id(q) for q in seen}) == 4
+
+
+def test_free_names_of_a_wide_cut_grows_linearly_in_its_parts():
+    # joining the parts one union at a time copies the growing set at each
+    # part, so four times the parts cost about 16x; one union costs about 4x
+    def seconds(n):
+        parts = tuple(InEmpty(f"n{k}", S0, 0) for k in range(n))
+        for q in parts:
+            free_names(q)
+        best = float("inf")
+        for _ in range(5):
+            cut = Cut("n0", None, parts)
+            t0 = time.perf_counter()
+            free_names(cut)
+            best = min(best, time.perf_counter() - t0)
+        assert len(free_names(cut)) == n - 1
+        return best
+
+    assert seconds(8000) < 12 * seconds(2000)
 
 
 def subterms(p):
