@@ -18,10 +18,15 @@ from lmrl.processes import (
     InEmpty,
     InName,
     Msg,
+    MsgRecv,
+    MsgSend,
+    MsgSkipIn,
+    MsgSkipOut,
     OutEmpty,
     OutName,
     ProcessTypeError,
     SelL,
+    SelR,
     ServerAccept,
     TypingDerivation,
     alpha_equiv,
@@ -41,7 +46,7 @@ from lmrl.processes import (
     td_uses_msg,
     typecheck,
 )
-from lmrl.syntax import Bang, IFormula, One, Tensor, fresh_name
+from lmrl.syntax import Bang, IFormula, One, Tensor, With, fresh_name
 from worlds import deep_session
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus", "proc")
@@ -273,6 +278,87 @@ def test_polarity_violation_on_output():
     with pytest.raises(ProcessTypeError) as err:
         typecheck(p, {"x": IFormula(S0, Tensor(0, One(0), One(0)))})
     assert "outside" in err.value.reason
+
+
+B3 = rl.finite_base(3)
+_END, _ONE = InEmpty("x", rl.roleset(B3, [0]), 0), One(0)
+_IN, _OUT = rl.roleset(B3, [0]), rl.roleset(B3, [1, 2])  # role 0 in / outside
+_T, _W, _B, _M = Tensor(0, _ONE, _ONE), With(0, _ONE, _ONE), Bang(0, _ONE), Msg(0, 1, _ONE)
+# per header on x: the header over a role set, the role set its rule wants,
+# the type it reads, a type of another connective or role, and the reasons
+# for (role set differs, wrong type, role on the wrong side)
+HEADER_FAULTS = [
+    (lambda rs: InEmpty("x", rs, 0), _IN, One(0), One(1), (
+        "header roles {0} on x disagree with [{1,2}]",
+        "x has type one[1], wanted one[0]",
+        "empty input on x needs role 0 in {1,2}")),
+    (lambda rs: OutEmpty("x", rs, 0, _END), _OUT, One(0), One(1), (
+        "header roles {1,2} on x disagree with [{0}]",
+        "x has type one[1], wanted one[0]",
+        "empty output on x needs role 0 outside {0}")),
+    (lambda rs: OutName("x", rs, "y", 0, _END), _OUT, _T, _W, (
+        "header roles {1,2} on x disagree with [{0}]",
+        "x has type one[0] &[0] one[0], which does not match the header",
+        "name output on x needs role 0 outside {0}")),
+    (lambda rs: InName("x", rs, "y", 0, _END, _END), _IN, _T, Tensor(1, _ONE, _ONE), (
+        "header roles {0} on x disagree with [{1,2}]",
+        "x has type one[0] *[1] one[0], which does not match the header",
+        "name input on x needs role 0 in {1,2}")),
+    (lambda rs: SelL("x", rs, 0, _END), _OUT, _W, _T, (
+        "header roles {1,2} on x disagree with [{0}]",
+        "x has type one[0] *[0] one[0], which does not match the header",
+        "selection on x needs role 0 outside {0}")),
+    (lambda rs: SelR("x", rs, 0, _END), _OUT, _W, With(1, _ONE, _ONE), (
+        "header roles {1,2} on x disagree with [{0}]",
+        "x has type one[0] &[1] one[0], which does not match the header",
+        "selection on x needs role 0 outside {0}")),
+    (lambda rs: Case("x", rs, 0, _END, _END), _IN, _W, _B, (
+        "header roles {0} on x disagree with [{1,2}]",
+        "x has type ![0] one[0], which does not match the header",
+        "case offer on x needs role 0 in {1,2}")),
+    (lambda rs: ServerAccept("x", rs, "y", 0, _END), _IN, _B, Bang(1, _ONE), (
+        "header roles {0} on x disagree with [{1,2}]",
+        "x has type ![1] one[0], which does not match the header",
+        "server accept on x needs role 0 in {1,2}")),
+    (lambda rs: ClientRequest("x", rs, "y", 0, _END), _OUT, _B, _ONE, (
+        "header roles {1,2} on x disagree with [{0}]",
+        "x has type one[0], which does not match the header",
+        "client request on x needs role 0 outside {0}")),
+    (lambda rs: MsgSkipIn("x", rs, 0, 1, _END), rl.roleset(B3, [0, 1]), _M, Msg(1, 0, _ONE), (
+        "header roles {0,1} on x disagree with [{2}]",
+        "x has type msg[1,0] one[0], which does not match the transfer header",
+        "transfer header on x disagrees with roles 0,1 against {2}")),
+    (lambda rs: MsgSkipOut("x", rs, 0, 1, _END), rl.roleset(B3, [2]), _M, Msg(0, 2, _ONE), (
+        "header roles {2} on x disagree with [{0,1}]",
+        "x has type msg[0,2] one[0], which does not match the transfer header",
+        "transfer header on x disagrees with roles 0,1 against {0,1}")),
+    (lambda rs: MsgRecv("x", rs, 0, 1, _END), _IN, _M, _ONE, (
+        "header roles {0} on x disagree with [{1,2}]",
+        "x has type one[0], which does not match the transfer header",
+        "transfer header on x disagrees with roles 0,1 against {1,2}")),
+    (lambda rs: MsgSend("x", rs, 0, 1, _END), rl.roleset(B3, [1]), _M, _B, (
+        "header roles {1} on x disagree with [{0,2}]",
+        "x has type ![0] one[0], which does not match the transfer header",
+        "transfer header on x disagrees with roles 0,1 against {0,2}")),
+]
+
+
+@pytest.mark.parametrize(
+    "header,rs,good,bad,reasons",
+    HEADER_FAULTS,
+    ids=[type(row[0](_IN)).__name__ for row in HEADER_FAULTS],
+)
+def test_each_header_fault_has_its_reason(header, rs, good, bad, reasons):
+    other = rl.complement(rs)
+    wrong = [
+        (header(rs), IFormula(other, good)),  # the association's role set differs
+        (header(rs), IFormula(rs, bad)),  # another connective or role
+        (header(other), IFormula(other, good)),  # the role on the wrong side
+    ]
+    for (p, f), reason in zip(wrong, reasons):
+        with pytest.raises(ProcessTypeError) as err:
+            typecheck(p, {"x": f})
+        assert err.value.reason == reason
 
 
 def test_typing_rule_coverage():
