@@ -221,6 +221,7 @@ class DOnePos(Derivation):
     rs: RoleSet
     r: int
     rule = "one-pos"
+    connective = One
     premises: tuple[Derivation, ...] = ()
 
     def _compute(self):

@@ -15,7 +15,15 @@ from operator import itemgetter
 
 from . import roles as rl
 from .roles import RoleBase, RoleSet
-from .derivation import DOnePos, Derivation, MissingOccurrence, build_rule, find_occurrence
+from .derivation import (
+    _CONJ_MEMBER_RULES,
+    RULES,
+    DOnePos,
+    Derivation,
+    MissingOccurrence,
+    build_rule,
+    find_occurrence,
+)
 from .syntax import (
     Bang,
     Formula,
@@ -81,6 +89,13 @@ class Process:
     that pushes an unrelated cut under the header: a single rule pushes it
     into every continuation, one rule per continuation pushes it into the one
     continuation that uses the linked name.
+
+    A header names the typing rule it stands for, ``rule``, and itself in
+    error messages, ``what``.  A kernel rule gives the connective its channel
+    carries (``derivation.RULES``) and the side of the role set its role
+    lies on (derivation's member table).  A transfer rule, which has no
+    kernel counterpart, reads a ``Msg`` and names the sides of its roles r
+    and s: ``msg-pos-neg`` puts r inside and s outside.
     """
 
     __slots__ = ()
@@ -88,6 +103,20 @@ class Process:
     binder: str | None = None
     scope: tuple[str, ...] = ()
     commute: str | tuple[str, ...] | None = None
+    rule: str | None = None
+    what: str = ""
+
+    def __init_subclass__(cls, **kw):
+        super().__init_subclass__(**kw)
+        # fixed once per class: the connective, and per role whether it is
+        # in the role set
+        if "rule" in cls.__dict__:
+            kernel = RULES.get(cls.rule)
+            if kernel is None:
+                cls._connective = Msg
+                cls._sides = tuple(w == "pos" for w in cls.rule.split("-")[1:])
+            else:
+                cls._connective, cls._sides = kernel.connective, (cls.rule in _CONJ_MEMBER_RULES,)
 
 
 @dataclass(frozen=True)
@@ -115,14 +144,17 @@ class _Prefix(Process):  # x{R}...@r.P
 
 class OutEmpty(_Prefix):  # x{R}[]@r.P
     commute = "commute-oute"
+    rule, what = "one-neg", "empty output"
 
 
 class SelL(_Prefix):  # x{R}[inl]@r.P
     commute = "commute-sel"
+    rule, what = "with-neg-l", "selection"
 
 
 class SelR(_Prefix):  # x{R}[inr]@r.P
     commute = "commute-sel"
+    rule, what = "with-neg-r", "selection"
 
 
 @dataclass(frozen=True)
@@ -139,14 +171,17 @@ class _NamePrefix(Process):  # x{R}[y]@r.P , binds y in body
 
 class OutName(_NamePrefix):  # x{R}[y]@r.P
     commute = "commute-out"
+    rule, what = "tensor-neg", "name output"
 
 
 class ServerAccept(_NamePrefix):  # !x{R}(y)@r.P
     commute = "commute-srv"
+    rule, what = "bang-pos", "server accept"
 
 
 class ClientRequest(_NamePrefix):  # ?x{R}[y]@r.P
     commute = "commute-req"
+    rule, what = "bang-neg-derelict", "client request"
 
 
 @dataclass(frozen=True)
@@ -161,6 +196,7 @@ class InName(Process):  # x{R}(y)@r.(P1|P2) , binds y in left only
     binder = "y"
     scope = ("left",)
     commute = ("commute-in-l", "commute-in-r")
+    rule, what = "tensor-pos", "name input"
 
 
 @dataclass(frozen=True)
@@ -168,6 +204,7 @@ class InEmpty(Process):  # x{R}()@r.end
     x: str
     rs: RoleSet
     r: int
+    rule, what = "one-pos", "empty input"
 
 
 @dataclass(frozen=True)
@@ -179,6 +216,7 @@ class Case(Process):  # x{R}(case)@r.(P1,P2)
     right: Process
     kids = ("left", "right")
     commute = "commute-case"
+    rule, what = "with-pos", "case offer"
 
 
 @dataclass(frozen=True)
@@ -190,22 +228,23 @@ class _Transfer(Process):  # x{R}...@{r,s}.P
     body: Process
     kids = ("body",)
     commute = "commute-msg"
+    what = "transfer header"
 
 
 class MsgSkipIn(_Transfer):  # x{R}(skip)@{r,s}.P
-    pass
+    rule = "msg-pos-pos"
 
 
 class MsgSkipOut(_Transfer):  # x{R}[skip]@{r,s}.P
-    pass
+    rule = "msg-neg-neg"
 
 
 class MsgRecv(_Transfer):  # x{R}(recv)@{r,s}.P
-    pass
+    rule = "msg-pos-neg"
 
 
 class MsgSend(_Transfer):  # x{R}[send]@{r,s}.P
-    pass
+    rule = "msg-neg-pos"
 
 
 def _children(p: Process) -> list[Process]:
@@ -568,40 +607,42 @@ def _tc_rule(p: Process, env, base: RoleBase, path, memo) -> TypingDerivation:
     if missing:
         raise ProcessTypeError(f"free names not in the environment: {sorted(missing)}", path)
 
+    if p.rule is not None:  # a header: its channel's association, against its rule
+        x, rs, f = p.x, p.rs, _env_lookup(env, p.x)
+        a, transfer = f.body, p._connective is Msg
+        if f.roles != rs:
+            raise ProcessTypeError(f"header roles {rs} on {x} disagree with [{f.roles}]", path)
+        if not isinstance(a, p._connective) or a.r != p.r or transfer and a.s != p.s:
+            if p._connective is One:
+                want = f"wanted {_fmt(One(p.r))}"
+            else:
+                want = f"which does not match the {'transfer header' if transfer else 'header'}"
+            raise ProcessTypeError(f"{x} has type {_fmt(a)}, {want}", path)
+        if ((p.r in rs, p.s in rs) if transfer else (p.r in rs,)) != p._sides:
+            if transfer:
+                fault = f"disagrees with roles {p.r},{p.s} against {rs}"
+            else:
+                fault = f"needs role {p.r} {'in' if p._sides[0] else 'outside'} {rs}"
+            raise ProcessTypeError(f"{p.what} on {x} {fault}", path)
+
     match p:
-        case InEmpty(x, rs, r):
-            f = _env_lookup(env, x)
-            _expect_type(f, x, rs, One(r), path)
-            if r not in rs:
-                raise ProcessTypeError(f"empty input on {x} needs role {r} in {rs}", path)
+        case InEmpty():
             if len(env) != 1:
                 raise ProcessTypeError("terminated input must own the whole environment", path)
-            return TypingDerivation("one-pos", p, env, (), subject=x)
+            return TypingDerivation(p.rule, p, env, (), subject=x)
 
-        case OutEmpty(x, rs, r, body):
-            f = _env_lookup(env, x)
-            _expect_type(f, x, rs, One(r), path)
-            if r in rs:
-                raise ProcessTypeError(f"empty output on {x} needs role {r} outside {rs}", path)
+        case OutEmpty(body=body):
             sub = _tc(body, _env_without(env, x), base, path + (0,), memo)
-            return TypingDerivation("one-neg", p, env, (sub,), subject=x)
+            return TypingDerivation(p.rule, p, env, (sub,), subject=x)
 
-        case OutName(x, rs, y, r, body):
-            f = _env_lookup(env, x)
-            a = _expect_shape(f, x, rs, Tensor, r, path)
-            if r in rs:
-                raise ProcessTypeError(f"name output on {x} needs role {r} outside {rs}", path)
+        case OutName(y=y, body=body):
             y, body = _avoid(y, body, env)
             pair = ((y, IFormula(rs, a.left)), (x, IFormula(rs, a.right)))
             prem_env = _env_without(env, x) + pair
             sub = _tc(body, prem_env, base, path + (0,), memo)
-            return TypingDerivation("tensor-neg", p, env, (sub,), subject=x, object_=y)
+            return TypingDerivation(p.rule, p, env, (sub,), subject=x, object_=y)
 
-        case InName(x, rs, y, r, left, right):
-            f = _env_lookup(env, x)
-            a = _expect_shape(f, x, rs, Tensor, r, path)
-            if r not in rs:
-                raise ProcessTypeError(f"name input on {x} needs role {r} in {rs}", path)
+        case InName(y=y, r=r, left=left, right=right):
             y2, left2 = _avoid(y, left, env)
             if y2 != y:
                 p = InName(x, rs, y2, r, left2, right)
@@ -614,34 +655,21 @@ def _tc_rule(p: Process, env, base: RoleBase, path, memo) -> TypingDerivation:
             env_r = tuple((z, g) for z, g in rest if (z, g) not in env_l)
             sub_l = _tc(left, env_l + ((y, IFormula(rs, a.left)),), base, path + (0,), memo)
             sub_r = _tc(right, env_r + ((x, IFormula(rs, a.right)),), base, path + (1,), memo)
-            return TypingDerivation("tensor-pos", p, env, (sub_l, sub_r), subject=x, object_=y)
+            return TypingDerivation(p.rule, p, env, (sub_l, sub_r), subject=x, object_=y)
 
-        case SelL(x, rs, r, body) | SelR(x, rs, r, body):
-            f = _env_lookup(env, x)
-            a = _expect_shape(f, x, rs, With, r, path)
-            if r in rs:
-                raise ProcessTypeError(f"selection on {x} needs role {r} outside {rs}", path)
+        case SelL(body=body) | SelR(body=body):
             pick = a.left if isinstance(p, SelL) else a.right
             prem_env = _env_without(env, x) + ((x, IFormula(rs, pick)),)
             sub = _tc(body, prem_env, base, path + (0,), memo)
-            rule = "with-neg-l" if isinstance(p, SelL) else "with-neg-r"
-            return TypingDerivation(rule, p, env, (sub,), subject=x)
+            return TypingDerivation(p.rule, p, env, (sub,), subject=x)
 
-        case Case(x, rs, r, left, right):
-            f = _env_lookup(env, x)
-            a = _expect_shape(f, x, rs, With, r, path)
-            if r not in rs:
-                raise ProcessTypeError(f"case offer on {x} needs role {r} in {rs}", path)
+        case Case(left=left, right=right):
             rest = _env_without(env, x)
             sub_l = _tc(left, rest + ((x, IFormula(rs, a.left)),), base, path + (0,), memo)
             sub_r = _tc(right, rest + ((x, IFormula(rs, a.right)),), base, path + (1,), memo)
-            return TypingDerivation("with-pos", p, env, (sub_l, sub_r), subject=x)
+            return TypingDerivation(p.rule, p, env, (sub_l, sub_r), subject=x)
 
-        case ServerAccept(x, rs, y, r, body):
-            f = _env_lookup(env, x)
-            a = _expect_shape(f, x, rs, Bang, r, path)
-            if r not in rs:
-                raise ProcessTypeError(f"server accept on {x} needs role {r} in {rs}", path)
+        case ServerAccept(y=y, body=body):
             for z, g in env:
                 if z != x and not _is_query_assoc(g):
                     raise ProcessTypeError(
@@ -651,13 +679,9 @@ def _tc_rule(p: Process, env, base: RoleBase, path, memo) -> TypingDerivation:
             y, body = _avoid(y, body, env)
             prem_env = _env_without(env, x) + ((y, IFormula(rs, a.body)),)
             sub = _tc(body, prem_env, base, path + (0,), memo)
-            return TypingDerivation("bang-pos", p, env, (sub,), subject=x, object_=y)
+            return TypingDerivation(p.rule, p, env, (sub,), subject=x, object_=y)
 
-        case ClientRequest(x, rs, y, r, body):
-            f = _env_lookup(env, x)
-            a = _expect_shape(f, x, rs, Bang, r, path)
-            if r in rs:
-                raise ProcessTypeError(f"client request on {x} needs role {r} outside {rs}", path)
+        case ClientRequest(y=y, r=r, body=body):
             y, body = _avoid(y, body, env)
             if x in free_names(body):
                 x2 = fresh_name(x)
@@ -668,24 +692,12 @@ def _tc_rule(p: Process, env, base: RoleBase, path, memo) -> TypingDerivation:
                 )
             prem_env = _env_without(env, x) + ((y, IFormula(rs, a.body)),)
             sub = _tc(body, prem_env, base, path + (0,), memo)
-            return TypingDerivation("bang-neg-derelict", p, env, (sub,), subject=x, object_=y)
+            return TypingDerivation(p.rule, p, env, (sub,), subject=x, object_=y)
 
-        case _Transfer(x, rs, r, s, body):
-            f = _env_lookup(env, x)
-            a = _expect_msg(f, x, rs, r, s, path)
-            want = {
-                MsgSkipIn: (True, True, "msg-pos-pos"),
-                MsgSkipOut: (False, False, "msg-neg-neg"),
-                MsgRecv: (True, False, "msg-pos-neg"),
-                MsgSend: (False, True, "msg-neg-pos"),
-            }[type(p)]
-            if (r in rs, s in rs) != want[:2]:
-                raise ProcessTypeError(
-                    f"transfer header on {x} disagrees with roles {r},{s} against {rs}", path
-                )
+        case _Transfer(body=body):
             prem_env = _env_without(env, x) + ((x, IFormula(rs, a.body)),)
             sub = _tc(body, prem_env, base, path + (0,), memo)
-            return TypingDerivation(want[2], p, env, (sub,), subject=x)
+            return TypingDerivation(p.rule, p, env, (sub,), subject=x)
 
         case Cut(x, ann, parts):
             if ann is None:
@@ -765,39 +777,6 @@ def _fmt(a: Formula) -> str:
     from .printer import format_formula
 
     return format_formula(a)
-
-
-def _expect_type(f, x, rs, want, path):
-    if f is None:
-        raise ProcessTypeError(f"no association for {x}", path)
-    if f.roles != rs:
-        raise ProcessTypeError(f"header roles {rs} on {x} disagree with [{f.roles}]", path)
-    if formula_key(f.body) != formula_key(want):
-        raise ProcessTypeError(f"{x} has type {_fmt(f.body)}, wanted {_fmt(want)}", path)
-
-
-def _expect_shape(f, x, rs, shape, r, path):
-    if f is None:
-        raise ProcessTypeError(f"no association for {x}", path)
-    if f.roles != rs:
-        raise ProcessTypeError(f"header roles {rs} on {x} disagree with [{f.roles}]", path)
-    if not isinstance(f.body, shape) or f.body.r != r:
-        raise ProcessTypeError(
-            f"{x} has type {_fmt(f.body)}, which does not match the header", path
-        )
-    return f.body
-
-
-def _expect_msg(f, x, rs, r, s, path):
-    if f is None:
-        raise ProcessTypeError(f"no association for {x}", path)
-    if f.roles != rs:
-        raise ProcessTypeError(f"header roles {rs} on {x} disagree with [{f.roles}]", path)
-    if not isinstance(f.body, Msg) or (f.body.r, f.body.s) != (r, s):
-        raise ProcessTypeError(
-            f"{x} has type {_fmt(f.body)}, which does not match the transfer header", path
-        )
-    return f.body
 
 
 # ---------------------------------------------------------------------------
@@ -1048,26 +1027,8 @@ def is_principal_cut(p: Process, td: TypingDerivation) -> bool:
         td = td.premises[0]
     if td.rule != "n-cut":
         return False
-    header_rules = {
-        "one-pos",
-        "one-neg",
-        "tensor-neg",
-        "tensor-pos",
-        "with-neg-l",
-        "with-neg-r",
-        "with-pos",
-        "bang-pos",
-        "bang-neg-derelict",
-        "msg-pos-pos",
-        "msg-neg-neg",
-        "msg-pos-neg",
-        "msg-neg-pos",
-    }
-    name = td.subject
-    for sub in td.premises:
-        if sub.rule not in header_rules or sub.subject != name:
-            return False
-    return True
+    # a part's rule is its header's own rule unless it weakens or contracts
+    return all(sub.rule == sub.process.rule and sub.subject == td.subject for sub in td.premises)
 
 
 @dataclass(frozen=True)
