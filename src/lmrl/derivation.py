@@ -501,20 +501,9 @@ def build_rule(
 # checking
 
 # Rules whose role index must belong to the occurrence's role set in the
-# conjunctive reading; the disjunctive reading flips every test.
+# conjunctive reading, every other rule's lying outside it; the disjunctive
+# reading flips every test.  Process typing reads the same table.
 _CONJ_MEMBER_RULES = frozenset({"one-pos", "tensor-pos", "with-pos", "bang-pos", "forall-pos"})
-_CONJ_NONMEMBER_RULES = frozenset(
-    {
-        "one-neg",
-        "tensor-neg",
-        "with-neg-l",
-        "with-neg-r",
-        "bang-neg-weaken",
-        "bang-neg-derelict",
-        "bang-neg-contract",
-        "forall-neg",
-    }
-)
 
 # Display labels, keyed by (rule, calculus).
 RULE_LABELS = {

@@ -201,19 +201,6 @@ def is_session_type(a: Formula) -> bool:
             return False
 
 
-def formula_roles(a: Formula) -> frozenset[int]:
-    match a:
-        case Atom():
-            return frozenset()
-        case One(r):
-            return frozenset((r,))
-        case Tensor(r, left, right) | With(r, left, right):
-            return frozenset((r,)) | formula_roles(left) | formula_roles(right)
-        case Bang(r, body) | Forall(r, _, body):
-            return frozenset((r,)) | formula_roles(body)
-    raise TypeError(a)
-
-
 def free_vars(a: Formula) -> frozenset[str]:
     match a:
         case Atom(_, args):
