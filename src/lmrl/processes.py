@@ -15,15 +15,8 @@ from operator import itemgetter
 
 from . import roles as rl
 from .roles import RoleBase, RoleSet
-from .derivation import (
-    _CONJ_MEMBER_RULES,
-    RULES,
-    DOnePos,
-    Derivation,
-    MissingOccurrence,
-    build_rule,
-    find_occurrence,
-)
+from .derivation import _CONJ_MEMBER_RULES, RULES, DOnePos, Derivation, MissingOccurrence
+from .derivation import build_rule, find_occurrence
 from .syntax import (
     Bang,
     Formula,
@@ -1025,10 +1018,10 @@ def is_principal_cut(p: Process, td: TypingDerivation) -> bool:
         raise ValueError("not a cut")
     while td.rule == "bang-neg-weaken":
         td = td.premises[0]
-    if td.rule != "n-cut":
-        return False
     # a part's rule is its header's own rule unless it weakens or contracts
-    return all(sub.rule == sub.process.rule and sub.subject == td.subject for sub in td.premises)
+    return td.rule == "n-cut" and all(
+        sub.rule == sub.process.rule and sub.subject == td.subject for sub in td.premises
+    )
 
 
 @dataclass(frozen=True)
