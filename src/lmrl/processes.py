@@ -396,7 +396,9 @@ def _net_key(p: Cut, env: dict, depth: int):
     tree is keyed from its centre, so the key is unrooted.  Within a leaf,
     the nest name toward the root reads as (depth, -1), and each other one
     as (depth, index) into the sorted keys of the subtrees behind them;
-    names behind equal subtrees take the ordering giving the least key.
+    names behind equal subtrees take the ordering giving the least key: the
+    order of their first use in a leaf without cuts, else the least over
+    every ordering.
     """
     anns, leaves, stack = [], [], [(p, {})]
     while stack:
@@ -425,10 +427,15 @@ def _net_key(p: Cut, env: dict, depth: int):
         kids = sorted((key[c], n) for n, c in used.items() if c != up)
         groups = [[n for _, n in g] for _, g in groupby(kids, key=itemgetter(0))]
         env2 = {**env, **{n: ("t", depth, -1) for n, c in used.items() if c == up}}
+        first = _first_uses(q)
+        if first is None:  # q holds a cut: try every ordering of the tied names
+            orders = product(*map(permutations, groups))
+        else:
+            orders = [[sorted(g, key=first.__getitem__) for g in groups]]
         return (1, idle, tuple(k for k, _ in kids), min(
             _canon(q, {**env2, **{n: ("t", depth, i) for i, n in enumerate(chain(*o))}},
                    depth + 1, True)
-            for o in product(*map(permutations, groups))
+            for o in orders
         ))
 
     # peel leaves down to the centre; of two centres (a cut and a leaf), root at the cut
@@ -450,6 +457,21 @@ def _net_key(p: Cut, env: dict, depth: int):
     for v in reversed(order):
         key[v] = vertex(v, up[v])
     return key[order[0]]
+
+
+def _first_uses(q: Process) -> dict[str, int] | None:
+    """The rank of each free name of ``q`` by where ``_canon`` first reads it,
+    or None when ``q`` holds a cut, whose parts ``_canon`` orders by key."""
+    first, stack = {}, [(q, frozenset())]
+    while stack:
+        p, bound = stack.pop()
+        if isinstance(p, Cut):
+            return None
+        if p.x not in bound:
+            first.setdefault(p.x, len(first))
+        inner = bound | {_bound(p)}
+        stack += [(getattr(p, f), inner if f in p.scope else bound) for f in reversed(p.kids)]
+    return first
 
 
 def canonical_key(p: Process):

@@ -239,3 +239,32 @@ def test_shared_server_is_outside_the_decided_domain():
     assert struct_equiv(p, swapped)
     with pytest.raises(NonLinearNet):
         struct_equiv(p, Cut(p.x, p.ann, (inner,)))
+
+
+def star(k):
+    """A leaf using k names, each linked by its own cut to a one-header
+    partner; the subtrees behind the k names are equal, so the names tie."""
+    leaf = uses(*[f"x{i}" for i in range(k)])
+    p = leaf
+    for i in range(k):
+        p = Cut(f"x{i}", None, (p, uses(f"x{i}")))
+    return p, leaf
+
+
+def test_a_leaf_with_tied_names_is_keyed_once(monkeypatch):
+    p, leaf = star(6)
+    keyed = []
+    canon = processes._canon
+    monkeypatch.setattr(processes, "_canon", lambda q, *rest: keyed.append(q) or canon(q, *rest))
+    struct_key(p)
+    assert sum(q is leaf for q in keyed) == 1
+
+
+def test_first_use_order_gives_the_least_key(monkeypatch):
+    # without the first-use order every leaf tries each ordering of its ties
+    rng = random.Random(11)
+    terms = [star(k)[0] for k in range(1, 6)]
+    terms += [Nests(rng, rng.randint(1, 5)).cut(rng.choice([[], ["f"]])) for _ in range(300)]
+    keys = [struct_key(t) for t in terms]
+    monkeypatch.setattr(processes, "_first_uses", lambda q: None)
+    assert [struct_key(t) for t in terms] == keys
