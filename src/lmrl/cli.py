@@ -103,6 +103,17 @@ def _occ_list(text: str) -> tuple[int, ...]:
         raise UsageError(f"bad occurrence list {text!r}")
 
 
+def _derive(ns, out: Out, conj, disj, *args) -> int:
+    """Apply ``conj`` or, in the disjunctive calculus, ``disj`` to ``args``;
+    re-check the derivation it returns and print it."""
+    calc = _calc(ns)
+    d = (conj if calc is Calculus.CONJ else disj)(*args)
+    check(d, calc)
+    out.kv("status", "ok")
+    out.payload("derivation", format_derivation(d))
+    return 0
+
+
 def cmd_check(ns, out: Out) -> int:
     pf = _load(ns.file, "derivation")
     goal = check(pf.derivation, _calc(ns))
@@ -136,12 +147,7 @@ def cmd_eta(ns, out: Out) -> int:
     base = rl.OMEGA if ns.base == "omega" else rl.finite_base(int(ns.base))
     a = parse_formula_text(ns.formula, base)
     parts = [parse_roleset_text(s, base) for s in ns.parts.split(";")]
-    fn = eta_expand if _calc(ns) is Calculus.CONJ else eta_expand_disj
-    d = fn(a, parts)
-    check(d, _calc(ns))
-    out.kv("status", "ok")
-    out.payload("derivation", format_derivation(d))
-    return 0
+    return _derive(ns, out, eta_expand, eta_expand_disj, a, parts)
 
 
 def _two_derivations(ns):
@@ -154,23 +160,13 @@ def _two_derivations(ns):
 
 def cmd_cut2(ns, out: Out) -> int:
     d1, d2 = _two_derivations(ns)
-    fn = cut2 if _calc(ns) is Calculus.CONJ else cut2_disj
-    d = fn(d1, ns.occ1, d2, ns.occ2)
-    check(d, _calc(ns))
-    out.kv("status", "ok")
-    out.payload("derivation", format_derivation(d))
-    return 0
+    return _derive(ns, out, cut2, cut2_disj, d1, ns.occ1, d2, ns.occ2)
 
 
 def cmd_cutspill(ns, out: Out) -> int:
     d1, d2 = _two_derivations(ns)
     spec = CutSpec([(d1, _occ_list(ns.occs1)), (d2, _occ_list(ns.occs2))])
-    fn = cut2_spill if _calc(ns) is Calculus.CONJ else cut2_spill_disj
-    d = fn(spec)
-    check(d, _calc(ns))
-    out.kv("status", "ok")
-    out.payload("derivation", format_derivation(d))
-    return 0
+    return _derive(ns, out, cut2_spill, cut2_spill_disj, spec)
 
 
 def cmd_cutn(ns, out: Out) -> int:
@@ -186,12 +182,7 @@ def cmd_cutn(ns, out: Out) -> int:
         elif pf.base != base:
             raise UsageError("derivations use different bases")
         parts.append((pf.derivation, occs))
-    fn = cutn if _calc(ns) is Calculus.CONJ else cutn_disj
-    d = fn(CutSpec(parts))
-    check(d, _calc(ns))
-    out.kv("status", "ok")
-    out.payload("derivation", format_derivation(d))
-    return 0
+    return _derive(ns, out, cutn, cutn_disj, CutSpec(parts))
 
 
 def cmd_split(ns, out: Out) -> int:
@@ -202,12 +193,7 @@ def cmd_split(ns, out: Out) -> int:
         raise UsageError("--into takes two role sets separated by ';'")
     r1 = parse_roleset_text(s1_txt, pf.base)
     r2 = parse_roleset_text(s2_txt, pf.base)
-    fn = split if _calc(ns) is Calculus.CONJ else co_split_disj
-    d = fn(pf.derivation, ns.occ, r1, r2)
-    check(d, _calc(ns))
-    out.kv("status", "ok")
-    out.payload("derivation", format_derivation(d))
-    return 0
+    return _derive(ns, out, split, co_split_disj, pf.derivation, ns.occ, r1, r2)
 
 
 def cmd_dualize(ns, out: Out) -> int:

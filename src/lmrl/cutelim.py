@@ -9,6 +9,11 @@ All transformations work on the canonical conclusion layout produced by the
 node constructors, tracking occurrences by position.  The generalized cut
 carries the lexicographic measure (cut-formula size, height sum) and asserts
 strict decrease on every recursive call.
+
+Both the principal cut of two positive sides and the prover's backward steps
+read the rule figures that ``derivation`` states as data (each rule's index
+fields, the parts of the major they address, and the side of the role set
+its role lies on) rather than restating them per connective.
 """
 
 from __future__ import annotations
@@ -36,10 +41,13 @@ from .derivation import (
     Derivation,
     MalformedDerivation,
     MissingOccurrence,
+    RULES,
+    _wants_member,
     build_rule,
     dualize,
     height,
     is_query_shaped,
+    major_part,
 )
 from .syntax import (
     Atom,
@@ -97,9 +105,10 @@ def subst_derivation(d: Derivation, x: str, t: Term) -> Derivation:
     return d.rebuild([subst_derivation(p, x, t) for p in d.premises], **changes)
 
 
-def _freshen_eigen(d: DForallPos) -> DForallPos:
-    z2 = fresh_name(d.eigen)
-    return d.rebuild([subst_derivation(d.premise, d.eigen, Var(z2))], eigen=z2)
+def _freshen_eigen(d: DForallPos, z: str | None = None) -> DForallPos:
+    """``d`` with its eigenvariable renamed to ``z``, by default a fresh name."""
+    z = z or fresh_name(d.eigen)
+    return d.rebuild([subst_derivation(d.premise, d.eigen, Var(z))], eigen=z)
 
 
 # ---------------------------------------------------------------------------
@@ -424,46 +433,40 @@ def _commute(sc: _Side, so: _Side, cutf: Formula, measure):
 
 
 def _principal_pair(s1: _Side, s2: _Side, cutf: Formula, measure):
+    """Both sides principal.  Past atoms, the side whose role set holds the
+    cut formula's role goes first, and the output maps swap back once."""
     spillset = rl.intersect(s1.rs, s2.rs)
+    if isinstance(cutf, Atom):
+        d1, d2 = s1.d, s2.d
+        assert isinstance(d1, DId) and isinstance(d2, DId)
+        (k1,) = s1.occs
+        (k2,) = s2.occs
+        parts = (
+            tuple(s for q, s in enumerate(d1.rolesets) if q != k1)
+            + tuple(s for q, s in enumerate(d2.rolesets) if q != k2)
+            + (spillset,)
+        )
+        e = DId(d1.atom, parts)
+        n1 = len(d1.rolesets) - 1
+        o1 = {q: (q if q < k1 else q - 1) for q in range(len(d1.rolesets)) if q != k1}
+        o2 = {q: n1 + (q if q < k2 else q - 1) for q in range(len(d2.rolesets)) if q != k2}
+        return e, o1, o2, len(parts) - 1
 
-    match cutf:
-        case Atom():
-            d1, d2 = s1.d, s2.d
-            assert isinstance(d1, DId) and isinstance(d2, DId)
-            (k1,) = s1.occs
-            (k2,) = s2.occs
-            parts = (
-                tuple(s for q, s in enumerate(d1.rolesets) if q != k1)
-                + tuple(s for q, s in enumerate(d2.rolesets) if q != k2)
-                + (spillset,)
-            )
-            e = DId(d1.atom, parts)
-            n1 = len(d1.rolesets) - 1
-            o1 = {q: (q if q < k1 else q - 1) for q in range(len(d1.rolesets)) if q != k1}
-            o2 = {q: n1 + (q if q < k2 else q - 1) for q in range(len(d2.rolesets)) if q != k2}
-            return e, o1, o2, len(parts) - 1
-
-        case One(ro):
-            in1, in2 = ro in s1.rs, ro in s2.rs
-            if in1 and in2:
-                return DOnePos(spillset, ro), {}, {}, 0
-            sp_, sn_ = (s1, s2) if in1 else (s2, s1)
-            assert isinstance(sp_.d, DOnePos) and isinstance(sn_.d, DOneNeg)
-            prem = sn_.d.premise
-            e = DOneNeg(spillset, ro, prem)
-            on = {q: q for q in range(len(prem.concl))}
-            res = (e, {}, on, len(e.concl) - 1)
-            return res if in1 else (e, on, {}, len(e.concl) - 1)
-
-        case Tensor(ro, a1, a2):
-            return _principal_tensor(s1, s2, cutf, measure, spillset)
-        case With(ro, a1, a2):
-            return _principal_with(s1, s2, cutf, measure, spillset)
-        case Forall():
-            return _principal_forall(s1, s2, cutf, measure, spillset)
-        case Bang():
-            return _principal_bang(s1, s2, cutf, measure, spillset)
-    raise TypeError(cutf)
+    swap = cutf.r not in s1.rs
+    pos, neg = (s2, s1) if swap else (s1, s2)
+    if cutf.r in neg.rs:
+        if isinstance(cutf, One):
+            return DOnePos(spillset, cutf.r), {}, {}, 0
+        return _principal_spill(pos, neg, cutf, measure)
+    if isinstance(cutf, One):
+        assert isinstance(pos.d, DOnePos) and isinstance(neg.d, DOneNeg)
+        prem = neg.d.premise
+        e = DOneNeg(spillset, cutf.r, prem)
+        res = e, {}, {q: q for q in range(len(prem.concl))}, len(e.concl) - 1
+    else:
+        res = _PRINCIPAL[type(cutf)](pos, neg, cutf, measure)
+    e, op, on, sp = res
+    return (e, on, op, sp) if swap else res
 
 
 def _premise_side(s: _Side, k: str) -> _Side:
@@ -473,153 +476,118 @@ def _premise_side(s: _Side, k: str) -> _Side:
     return _Side(d.right if k == "j" else d.premises[0], frozenset((getattr(d, k),)), s.rs)
 
 
-def _principal_tensor(s1, s2, cutf, measure, spillset):
-    ro, a1, a2 = cutf.r, cutf.left, cutf.right
-    in1, in2 = ro in s1.rs, ro in s2.rs
-    if in1 and in2:
-        d1, d2 = s1.d, s2.d
-        e1, oL1, oL2, sp1 = _spill(_premise_side(s1, "i"), _premise_side(s2, "i"), a1, measure)
-        e2, oR1, oR2, sp2 = _spill(_premise_side(s1, "j"), _premise_side(s2, "j"), a2, measure)
-        node = DTensorPos(ro, e1, sp1, e2, sp2)
-        shs = _concl_maps(node)
-        o1 = {q: shs[k][(oL1, oR1)[k][p]] for q, k, p in _context(d1, s1.occs)}
-        o2 = {q: shs[k][(oL2, oR2)[k][p]] for q, k, p in _context(d2, s2.occs)}
-        return node, o1, o2, len(node.concl) - 1
-
-    sp_, sn_, pos_is_1 = ((s1, s2, True) if in1 else (s2, s1, False))
-    tp, tn = sp_.d, sn_.d
-    assert isinstance(tp, DTensorPos) and isinstance(tn, DTensorNeg)
-    e1, oL, oN, sp1 = _spill(_premise_side(sp_, "i"), _premise_side(sn_, "i"), a1, measure)
-    e2, oR, oE1, sp2 = _spill(
-        _premise_side(sp_, "j"), _Side(e1, frozenset((oN[tn.j],)), sn_.rs), a2, measure
-    )
-    node = DTensorNeg(ro, e2, oE1[sp1], sp2)
-    (sh,) = _concl_maps(node)
-    op = {
-        q: sh[oE1[oL[p]]] if k == 0 else sh[oR[p]] for q, k, p in _context(tp, sp_.occs)
-    }
-    on = {q: sh[oE1[oN[p]]] for q, _, p in _context(tn, sn_.occs)}
-    res = (node, op, on, len(node.concl) - 1)
-    return res if pos_is_1 else (node, on, op, len(node.concl) - 1)
-
-
-def _principal_with(s1, s2, cutf, measure, spillset):
-    ro, a1, a2 = cutf.r, cutf.left, cutf.right
-    in1, in2 = ro in s1.rs, ro in s2.rs
-    if in1 and in2:
-        d1, d2 = s1.d, s2.d
-        e1, oL1, oL2, sp1 = _spill(_premise_side(s1, "i"), _premise_side(s2, "i"), a1, measure)
-        e2, oR1, oR2, sp2 = _spill(_premise_side(s1, "j"), _premise_side(s2, "j"), a2, measure)
-        node = DWithPos(ro, e1, sp1, e2, sp2)
-        sh = _concl_maps(node)[0]
-        o1 = {q: sh[oL1[p]] for q, _, p in _context(d1, s1.occs, 0)}
-        o2 = {q: sh[oL2[p]] for q, _, p in _context(d2, s2.occs, 0)}
-        return node, o1, o2, len(node.concl) - 1
-
-    sp_, sn_, pos_is_1 = ((s1, s2, True) if in1 else (s2, s1, False))
-    wp, wn = sp_.d, sn_.d
-    assert isinstance(wp, DWithPos) and isinstance(wn, (DWithNegL, DWithNegR))
-    take_left = isinstance(wn, DWithNegL)
-    e, opb, onp, spp = _spill(
-        _premise_side(sp_, "i" if take_left else "j"),
-        _premise_side(sn_, "i"),
-        a1 if take_left else a2,
-        measure,
-    )
-    node = DWithNegL(ro, a2, e, spp) if take_left else DWithNegR(ro, a1, e, spp)
-    (sh,) = _concl_maps(node)
-    op = {q: sh[opb[p]] for q, _, p in _context(wp, sp_.occs, 0 if take_left else 1)}
-    on = {q: sh[onp[p]] for q, _, p in _context(wn, sn_.occs)}
-    res = (node, op, on, len(node.concl) - 1)
-    return res if pos_is_1 else (node, on, op, len(node.concl) - 1)
-
-
-def _principal_forall(s1, s2, cutf, measure, spillset):
-    ro = cutf.r
-    in1, in2 = ro in s1.rs, ro in s2.rs
-    if in1 and in2:
-        d1, d2 = s1.d, s2.d
-        assert isinstance(d1, DForallPos) and isinstance(d2, DForallPos)
+def _principal_spill(s1: _Side, s2: _Side, cutf: Formula, measure):
+    """Both sides positive, so both end in the cut formula's positive rule.
+    Premise ``k`` of each side is cut at the occurrence its ``_indices[k]``
+    field names, against the part of the cut formula the rule's ``parts``
+    names there, and the rule is applied to the spills.  Both forall-pos
+    premises are first instantiated at one fresh eigenvariable; a with-pos
+    reads its shared context from the left branch."""
+    if isinstance(s1.d, DForallPos):
         z = fresh_name(cutf.var)
-        p1 = subst_derivation(d1.premise, d1.eigen, Var(z))
-        p2 = subst_derivation(d2.premise, d2.eigen, Var(z))
-        bz = p1.concl[d1.i].body
-        e, o1p, o2p, sp = _spill(
-            _Side(p1, frozenset((d1.i,)), s1.rs),
-            _Side(p2, frozenset((d2.i,)), s2.rs),
-            bz,
-            measure,
-        )
-        node = DForallPos(ro, z, e, sp)
-        (sh,) = _concl_maps(node)
-        o1 = {q: sh[o1p[p]] for q, _, p in _context(d1, s1.occs)}
-        o2 = {q: sh[o2p[p]] for q, _, p in _context(d2, s2.occs)}
-        return node, o1, o2, len(node.concl) - 1
+        s1, s2 = (_Side(_freshen_eigen(s.d, z), s.occs, s.rs) for s in (s1, s2))
+    d1, d2 = s1.d, s2.d
+    cuts = []
+    for (i,) in d1._indices:
+        p1, name = _premise_side(s1, i), d1.parts[i]
+        # an instance is read off the instantiated premise
+        a = p1.d.concl[getattr(d1, i)].body if name == "instance" else getattr(cutf, name)
+        cuts.append(_spill(p1, _premise_side(s2, i), a, measure))
+    posmaps = [{getattr(d1, i): c[3]} for (i,), c in zip(d1._indices, cuts)]
+    node = d1.rebuild([c[0] for c in cuts], posmaps)
+    shs = _concl_maps(node)
+    only = 0 if isinstance(d1, DWithPos) else None
+    o1 = {q: shs[k][cuts[k][1][p]] for q, k, p in _context(d1, s1.occs, only)}
+    o2 = {q: shs[k][cuts[k][2][p]] for q, k, p in _context(d2, s2.occs, only)}
+    return node, o1, o2, len(node.concl) - 1
 
-    sp_, sn_, pos_is_1 = ((s1, s2, True) if in1 else (s2, s1, False))
-    fp, fn = sp_.d, sn_.d
+
+def _principal_tensor(pos: _Side, neg: _Side, cutf: Tensor, measure):
+    tp, tn = pos.d, neg.d
+    assert isinstance(tp, DTensorPos) and isinstance(tn, DTensorNeg)
+    e1, oL, oN, sp1 = _spill(_premise_side(pos, "i"), _premise_side(neg, "i"), cutf.left, measure)
+    e2, oR, oE1, sp2 = _spill(
+        _premise_side(pos, "j"), _Side(e1, frozenset((oN[tn.j],)), neg.rs), cutf.right, measure
+    )
+    node = DTensorNeg(cutf.r, e2, oE1[sp1], sp2)
+    (sh,) = _concl_maps(node)
+    op = {q: sh[oE1[oL[p]]] if k == 0 else sh[oR[p]] for q, k, p in _context(tp, pos.occs)}
+    on = {q: sh[oE1[oN[p]]] for q, _, p in _context(tn, neg.occs)}
+    return node, op, on, len(node.concl) - 1
+
+
+def _principal_with(pos: _Side, neg: _Side, cutf: With, measure):
+    wp, wn = pos.d, neg.d
+    assert isinstance(wp, DWithPos) and isinstance(wn, (DWithNegL, DWithNegR))
+    take_left, a, b = isinstance(wn, DWithNegL), cutf.left, cutf.right
+    side = _premise_side(pos, "i" if take_left else "j")
+    e, opb, onp, spp = _spill(side, _premise_side(neg, "i"), a if take_left else b, measure)
+    node = DWithNegL(cutf.r, b, e, spp) if take_left else DWithNegR(cutf.r, a, e, spp)
+    (sh,) = _concl_maps(node)
+    op = {q: sh[opb[p]] for q, _, p in _context(wp, pos.occs, 0 if take_left else 1)}
+    on = {q: sh[onp[p]] for q, _, p in _context(wn, neg.occs)}
+    return node, op, on, len(node.concl) - 1
+
+
+def _principal_forall(pos: _Side, neg: _Side, cutf: Forall, measure):
+    fp, fn = pos.d, neg.d
     assert isinstance(fp, DForallPos) and isinstance(fn, DForallNeg)
     t = fn.witness
     pprem = subst_derivation(fp.premise, fp.eigen, t)
     bstar = pprem.concl[fp.i].body
     e, opp, onp, spx = _spill(
-        _Side(pprem, frozenset((fp.i,)), sp_.rs), _premise_side(sn_, "i"), bstar, measure
+        _Side(pprem, frozenset((fp.i,)), pos.rs), _premise_side(neg, "i"), bstar, measure
     )
     body = fp.premise.concl[fp.i].body
-    node = DForallNeg(ro, fp.eigen, body, t, e, spx)
+    node = DForallNeg(cutf.r, fp.eigen, body, t, e, spx)
     (sh,) = _concl_maps(node)
-    op = {q: sh[opp[p]] for q, _, p in _context(fp, sp_.occs)}
-    on = {q: sh[onp[p]] for q, _, p in _context(fn, sn_.occs)}
-    res = (node, op, on, len(node.concl) - 1)
-    return res if pos_is_1 else (node, on, op, len(node.concl) - 1)
+    op = {q: sh[opp[p]] for q, _, p in _context(fp, pos.occs)}
+    on = {q: sh[onp[p]] for q, _, p in _context(fn, neg.occs)}
+    return node, op, on, len(node.concl) - 1
 
 
-def _principal_bang(s1, s2, cutf, measure, spillset):
-    rb = cutf.r
-    in1, in2 = rb in s1.rs, rb in s2.rs
-    if in1 and in2:
-        d1, d2 = s1.d, s2.d
-        assert isinstance(d1, DBangPos) and isinstance(d2, DBangPos)
-        e, o1p, o2p, sp = _spill(_premise_side(s1, "i"), _premise_side(s2, "i"), cutf.body, measure)
-        node = DBangPos(rb, e, sp)
-        (sh,) = _concl_maps(node)
-        o1 = {q: sh[o1p[p]] for q, _, p in _context(d1, s1.occs)}
-        o2 = {q: sh[o2p[p]] for q, _, p in _context(d2, s2.occs)}
-        return node, o1, o2, len(node.concl) - 1
-
-    sp_, sn_, pos_is_1 = ((s1, s2, True) if in1 else (s2, s1, False))
-    bp, nd = sp_.d, sn_.d
+def _principal_bang(pos: _Side, neg: _Side, cutf: Bang, measure):
+    bp, nd = pos.d, neg.d
     assert isinstance(bp, DBangPos)
     assert isinstance(nd, (DBangNegWeaken, DBangNegContract, DBangNegDerelict))
     # Cut the positive side into the negative rule's premise against the
     # designated occurrences left there: a contraction's two copies, or none
     # after a weakening (the spill then weakens in).
     ctx = _context(nd, ())
-    prem_occs = frozenset(p for q, _, p in ctx if q in sn_.occs)
+    prem_occs = frozenset(p for q, _, p in ctx if q in neg.occs)
     if isinstance(nd, DBangNegContract):
         prem_occs |= {nd.i, nd.j}
-    e, op, onp, sp = _spill(sp_, _Side(nd.premise, prem_occs, sn_.rs), cutf, measure)
-    on = {q: onp[p] for q, _, p in ctx if q not in sn_.occs}
+    e, op, onp, sp = _spill(pos, _Side(nd.premise, prem_occs, neg.rs), cutf, measure)
+    on = {q: onp[p] for q, _, p in ctx if q not in neg.occs}
     if isinstance(nd, DBangNegDerelict):
         # a dereliction's body is then cut against the positive premise,
         # duplicating its ?-context, which is contracted back
         e2, o2pp, o2e1, sp2 = _spill(
-            _premise_side(sp_, "i"),
-            _Side(e, frozenset((onp[nd.i],)), sn_.rs),
+            _premise_side(pos, "i"),
+            _Side(e, frozenset((onp[nd.i],)), neg.rs),
             cutf.body,
             measure,
         )
-        e3 = DBangNegDerelict(rb, e2, sp2)
+        e3 = DBangNegDerelict(cutf.r, e2, sp2)
         (sh3,) = _concl_maps(e3)
         c_old = sh3[o2e1[sp]]
         pairs = [(c_old, len(e3.concl) - 1)]
-        for q, _, p in _context(bp, sp_.occs):
+        for q, _, p in _context(bp, pos.occs):
             pairs.append((sh3[o2e1[op[q]]], sh3[o2pp[p]]))
         e, tr = _contract_chain(e3, pairs)
         op = {q: tr[sh3[o2e1[c]]] for q, c in op.items()}
         on = {q: tr[sh3[o2e1[c]]] for q, c in on.items()}
         sp = tr[c_old]
-    return (e, op, on, sp) if pos_is_1 else (e, on, op, sp)
+    return e, op, on, sp
+
+
+# one positive and one negative side, by the cut formula's connective
+_PRINCIPAL = {
+    Tensor: _principal_tensor,
+    With: _principal_with,
+    Forall: _principal_forall,
+    Bang: _principal_bang,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -763,10 +731,6 @@ def _goal_key(goal: Sequent):
     return tuple(sorted(f.key() for f in goal.items))
 
 
-def _member(calc: Calculus, r: int, rs: RoleSet) -> bool:
-    return (r in rs) if calc is Calculus.CONJ else (r not in rs)
-
-
 def _prove(goal, calc, depth, pool, memo_fail):
     if depth < 1:
         return None
@@ -786,7 +750,7 @@ def _prove(goal, calc, depth, pool, memo_fail):
                 return DId(items[0].body, tuple(f.roles for f in items))
     if len(items) == 1 and isinstance(items[0].body, One):
         f = items[0]
-        if _member(calc, f.body.r, f.roles):
+        if (f.body.r in f.roles) == _wants_member("one-pos", calc):
             return DOnePos(f.roles, f.body.r)
 
     if depth >= 2:
@@ -797,82 +761,72 @@ def _prove(goal, calc, depth, pool, memo_fail):
     return None
 
 
+def _step_rows(calc: Calculus) -> dict:
+    """Per connective, and then by whether the major's role lies in its role
+    set, the rules with premises named for the connective, in ``RULES``
+    order: (rule, the term field it takes or None, the major's parts each
+    premise adds)."""
+    rows: dict = {c: ([], []) for c in (One, Tensor, With, Bang, Forall)}
+    for rule, cls in RULES.items():
+        conn = next((c for c in rows if rule.startswith(c.__name__.lower() + "-")), None)
+        if conn is not None and cls.schema:
+            term = next((f for f in ("witness", "eigen") if f in cls.__match_args__), None)
+            adds = tuple(tuple(cls.parts[i] for i in idx) for idx in cls._indices)
+            rows[conn][_wants_member(rule, calc)].append((rule, term, adds))
+    return rows
+
+
+_STEPS = {calc: _step_rows(calc) for calc in Calculus}
+
+
 def _prove_steps(goal, calc, depth, pool, memo_fail):
+    """Try each rule with premises on each occurrence as its major: the
+    premises keep the rest of the goal and add the parts the rule names.
+    Tensor-pos splits the rest every way, bang-pos needs it ?-shaped."""
+    steps = _STEPS[calc]
     items = goal.items
-    n = len(items)
-    for i in range(n):
-        f = items[i]
-        rest = goal.without(i)
-        match f.body:
-            case One(r):
-                if not _member(calc, r, f.roles):
-                    sub = _prove(rest, calc, depth - 1, pool, memo_fail)
-                    if sub is not None:
-                        return build_rule("one-neg", f, [sub])
-            case Tensor(r, a, b):
-                fa, fb = IFormula(f.roles, a), IFormula(f.roles, b)
-                if not _member(calc, r, f.roles):
-                    sub = _prove(rest.extended(fa, fb), calc, depth - 1, pool, memo_fail)
-                    if sub is not None:
-                        return build_rule("tensor-neg", f, [sub])
-                elif len(rest) <= _SPLIT_CAP:
-                    for mask in range(1 << len(rest)):
-                        g1 = [rest[q] for q in range(len(rest)) if mask >> q & 1]
-                        g2 = [rest[q] for q in range(len(rest)) if not mask >> q & 1]
-                        s1 = _prove(Sequent(tuple(g1) + (fa,)), calc, depth - 1, pool, memo_fail)
-                        if s1 is None:
-                            continue
-                        s2 = _prove(Sequent(tuple(g2) + (fb,)), calc, depth - 1, pool, memo_fail)
-                        if s2 is not None:
-                            return build_rule("tensor-pos", f, [s1, s2])
-            case With(r, a, b):
-                fa, fb = IFormula(f.roles, a), IFormula(f.roles, b)
-                if not _member(calc, r, f.roles):
-                    sub = _prove(rest.extended(fa), calc, depth - 1, pool, memo_fail)
-                    if sub is not None:
-                        return build_rule("with-neg-l", f, [sub])
-                    sub = _prove(rest.extended(fb), calc, depth - 1, pool, memo_fail)
-                    if sub is not None:
-                        return build_rule("with-neg-r", f, [sub])
-                else:
-                    s1 = _prove(rest.extended(fa), calc, depth - 1, pool, memo_fail)
-                    if s1 is not None:
-                        s2 = _prove(rest.extended(fb), calc, depth - 1, pool, memo_fail)
-                        if s2 is not None:
-                            return build_rule("with-pos", f, [s1, s2])
-            case Bang(r, a):
-                fa = IFormula(f.roles, a)
-                if _member(calc, r, f.roles):
-                    if all(is_query_shaped(g, calc) for g in rest):
-                        sub = _prove(rest.extended(fa), calc, depth - 1, pool, memo_fail)
-                        if sub is not None:
-                            return build_rule("bang-pos", f, [sub])
-                else:
-                    sub = _prove(rest, calc, depth - 1, pool, memo_fail)
-                    if sub is not None:
-                        return build_rule("bang-neg-weaken", f, [sub])
-                    sub = _prove(rest.extended(fa), calc, depth - 1, pool, memo_fail)
-                    if sub is not None:
-                        return build_rule("bang-neg-derelict", f, [sub])
-                    sub = _prove(rest.extended(f, f), calc, depth - 1, pool, memo_fail)
-                    if sub is not None:
-                        return build_rule("bang-neg-contract", f, [sub])
-            case Forall(r, x, a):
-                if not _member(calc, r, f.roles):
-                    for t in pool:
-                        fi = IFormula(f.roles, subst_formula(a, x, t))
-                        sub = _prove(rest.extended(fi), calc, depth - 1, pool, memo_fail)
-                        if sub is not None:
-                            return build_rule("forall-neg", f, [sub], witness=t)
-                else:
-                    z = fresh_name(x)
-                    fi = IFormula(f.roles, subst_formula(a, x, Var(z)))
-                    sub = _prove(rest.extended(fi), calc, depth - 1, pool, memo_fail)
-                    if sub is not None:
-                        return build_rule("forall-pos", f, [sub], eigen=z)
-            case Atom():
-                pass
+    for i, f in enumerate(items):
+        body = f.body
+        rows = steps.get(type(body))
+        if rows is None:
+            continue
+        rest = items[:i] + items[i + 1 :]
+        for rule, term, adds in rows[body.r in f.roles]:
+            if rule == "tensor-pos":
+                if len(rest) > _SPLIT_CAP:
+                    continue
+                ctxs = _splits(rest)
+            elif rule == "bang-pos" and not all(is_query_shaped(g, calc) for g in rest):
+                continue
+            else:
+                # every premise keeps the whole rest
+                ctxs = ((rest, rest),)
+            # forall-neg tries every witness, forall-pos one fresh eigenvariable
+            for t in pool if term == "witness" else (fresh_name(body.var),) if term else (None,):
+                inst = Var(t) if term == "eigen" else t
+                parts = [
+                    tuple([IFormula(f.roles, major_part(body, p, inst)) for p in a]) for a in adds
+                ]
+                for ctx in ctxs:
+                    subs = []
+                    for g, a in zip(ctx, parts):
+                        sub = _prove(Sequent(g + a), calc, depth - 1, pool, memo_fail)
+                        if sub is None:
+                            break
+                        subs.append(sub)
+                    else:
+                        return build_rule(rule, f, subs, **({term: t} if term else {}))
     return None
+
+
+def _splits(items: tuple):
+    """Every split of ``items`` into two ordered parts."""
+    n = len(items)
+    for mask in range(1 << n):
+        yield (
+            tuple([items[q] for q in range(n) if mask >> q & 1]),
+            tuple([items[q] for q in range(n) if not mask >> q & 1]),
+        )
 
 
 # ---------------------------------------------------------------------------

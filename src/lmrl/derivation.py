@@ -479,22 +479,29 @@ def build_rule(
         raise MalformedDerivation(f"needs a quantified major and :{term}")
     if wrong:
         raise MalformedDerivation(f"major is not {_SHAPES[cls.connective]}")
-
-    def part(name: str) -> Formula:
-        if name == "major":
-            return body
-        if name == "instance":
-            return subst_formula(body.body, body.var, witness if term == "witness" else Var(eigen))
-        return getattr(body, name)
-
+    t = Var(eigen) if term == "eigen" else witness
     for k, (field, indices) in enumerate(cls.schema.items()):
         fields[field] = premises[k]
         used: set[int] = set()
         for i in indices:
-            want = IFormula(major.roles, part(cls.parts[i]))
+            want = IFormula(major.roles, major_part(body, cls.parts[i], t))
             fields[i] = find_occurrence(premises[k].concl, want, used)
-    args = [fields[f] if f in fields else part(cls.parts.get(f, f)) for f in cls.__match_args__]
+    args = [
+        fields[f] if f in fields else major_part(body, cls.parts.get(f, f), t)
+        for f in cls.__match_args__
+    ]
     return cls(*args)
+
+
+def major_part(body: Formula, name: str, term: Term | None) -> Formula:
+    """The part of major formula ``body`` that a rule's ``parts`` entry
+    ``name`` names: the formula itself for ``major``, its quantified body
+    instantiated with ``term`` for ``instance``, else that attribute."""
+    if name == "major":
+        return body
+    if name == "instance":
+        return subst_formula(body.body, body.var, term)
+    return getattr(body, name)
 
 
 # ---------------------------------------------------------------------------

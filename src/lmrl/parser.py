@@ -100,7 +100,8 @@ class Cursor:
     def eat(self, text: str) -> Token:
         t = self.peek()
         if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}", t.line, t.col)
+            found = t.text or "end of input"
+            raise ParseError(f"expected {text!r}, found {found!r}", t.line, t.col)
         return self.next()
 
     def eat_kind(self, kind: str, what: str) -> Token:

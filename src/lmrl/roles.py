@@ -89,7 +89,9 @@ def roleset(base: RoleBase, roles=(), cofinite: bool = False) -> RoleSet:
 
 
 def full_set(base: RoleBase) -> RoleSet:
-    return roleset(base, (), cofinite=True) if not base.is_finite else roleset(base, range(base.size))
+    if not base.is_finite:
+        return roleset(base, (), cofinite=True)
+    return roleset(base, range(base.size))
 
 
 def empty_set(base: RoleBase) -> RoleSet:

@@ -188,19 +188,6 @@ def size(a: Formula) -> int:
     raise TypeError(a)
 
 
-def is_session_type(a: Formula) -> bool:
-    """True iff built only from units, tensor, with and bang."""
-    match a:
-        case One():
-            return True
-        case Tensor(_, left, right) | With(_, left, right):
-            return is_session_type(left) and is_session_type(right)
-        case Bang(_, body):
-            return is_session_type(body)
-        case _:
-            return False
-
-
 def free_vars(a: Formula) -> frozenset[str]:
     match a:
         case Atom(_, args):
@@ -323,10 +310,3 @@ class Sequent:
 
 def sequent(*items: IFormula) -> Sequent:
     return Sequent(tuple(items))
-
-
-def free_term_vars(g: Sequent) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    for f in g.items:
-        out |= free_vars(f.body)
-    return out

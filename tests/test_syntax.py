@@ -12,10 +12,7 @@ from lmrl.syntax import (
     Tensor,
     Var,
     With,
-    free_term_vars,
     free_vars,
-    is_session_type,
-    sequent,
     size,
     subst_formula,
 )
@@ -49,21 +46,6 @@ def test_size_examples():
     assert size(Tensor(0, a, a)) == 1
     assert size(Bang(1, With(0, a, a))) == 2
     assert size(One(0)) == 0
-
-
-def test_session_type_examples():
-    assert is_session_type(One(0))
-    assert not is_session_type(a)
-    assert not is_session_type(Forall(0, "x", One(0)))
-    assert is_session_type(Bang(0, Tensor(1, One(0), With(0, One(1), One(0)))))
-
-
-def test_free_term_vars_examples():
-    g = sequent(IFormula(S0, Atom("p", (Var("x"),))))
-    assert free_term_vars(g) == {"x"}
-    g2 = sequent(IFormula(S0, Forall(0, "x", Atom("p", (Var("x"),)))))
-    assert free_term_vars(g2) == frozenset()
-    assert free_term_vars(Sequent()) == frozenset()
 
 
 def test_alpha_equivalence():
