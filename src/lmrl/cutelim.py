@@ -435,7 +435,8 @@ def _commute(sc: _Side, so: _Side, cutf: Formula, measure):
 def _principal_pair(s1: _Side, s2: _Side, cutf: Formula, measure):
     """Both sides principal.  Past atoms, the side whose role set holds the
     cut formula's role goes first, and the output maps swap back once."""
-    spillset = rl.intersect(s1.rs, s2.rs)
+    # only atom and one cuts read the spill's roles; the others take theirs from sub-cuts
+    spillset = rl.intersect(s1.rs, s2.rs) if isinstance(cutf, (Atom, One)) else None
     if isinstance(cutf, Atom):
         d1, d2 = s1.d, s2.d
         assert isinstance(d1, DId) and isinstance(d2, DId)

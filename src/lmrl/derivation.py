@@ -222,7 +222,6 @@ class DOnePos(Derivation):
     r: int
     rule = "one-pos"
     connective = One
-    premises: tuple[Derivation, ...] = ()
 
     def _compute(self):
         return [IFormula(self.rs, One(self.r))]

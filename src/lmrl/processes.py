@@ -15,8 +15,8 @@ from operator import itemgetter
 
 from . import roles as rl
 from .roles import RoleBase, RoleSet
-from .derivation import _CONJ_MEMBER_RULES, RULES, DOnePos, Derivation, MissingOccurrence
-from .derivation import build_rule, find_occurrence
+from .derivation import _CONJ_MEMBER_RULES, RULES, Derivation, MissingOccurrence
+from .derivation import build_rule, find_occurrence, major_part
 from .syntax import (
     Bang,
     Formula,
@@ -89,6 +89,12 @@ class Process:
     lies on (derivation's member table).  A transfer rule, which has no
     kernel counterpart, reads a ``Msg`` and names the sides of its roles r
     and s: ``msg-pos-neg`` puts r inside and s outside.
+
+    Typing reads the rule's figure as well: premise k is typed in the rest
+    of the environment plus, for each index field addressing premise k in
+    the rule's ``schema``, that field's part of the channel's type (its
+    ``parts`` entry).  The bound name carries field ``i`` and the channel
+    every other field; a transfer's channel carries ``Msg.body``.
     """
 
     __slots__ = ()
@@ -101,15 +107,20 @@ class Process:
 
     def __init_subclass__(cls, **kw):
         super().__init_subclass__(**kw)
-        # fixed once per class: the connective, and per role whether it is
-        # in the role set
+        # fixed once per class: the connective, per role whether it is in the
+        # role set, and per premise the (carried by the bound name, part) pairs
         if "rule" in cls.__dict__:
             kernel = RULES.get(cls.rule)
             if kernel is None:
                 cls._connective = Msg
                 cls._sides = tuple(w == "pos" for w in cls.rule.split("-")[1:])
+                cls._figure = (((False, "body"),),)
             else:
                 cls._connective, cls._sides = kernel.connective, (cls.rule in _CONJ_MEMBER_RULES,)
+                cls._figure = tuple(
+                    tuple((i == "i" and cls.binder is not None, kernel.parts[i]) for i in idx)
+                    for idx in kernel._indices
+                )
 
 
 @dataclass(frozen=True)
@@ -325,29 +336,29 @@ def rename_free(p: Process, old: str, new: str) -> Process:
     names = free_names(p)
     if old not in names:
         return p
-    if isinstance(p, Cut):
-        x, parts = p.x, p.parts
-        if x == new:
-            x2 = fresh_name(x)
-            parts = tuple(rename_free(q, x, x2) for q in parts)
-            x = x2
-        out = Cut(x, p.ann, tuple(rename_free(q, old, new) for q in parts))
-    else:
-        changes = {"x": new} if p.x == old else {}
-        kids = dict(zip(p.kids, _children(p)))
-        y = _bound(p)
-        if y == new:
-            y2 = fresh_name(y)
-            for f in p.scope:
-                kids[f] = rename_free(kids[f], y, y2)
-            changes[p.binder] = y = y2
-        for f in p.kids:
-            if not (y == old and f in p.scope):
-                kids[f] = rename_free(kids[f], old, new)
-        out = _rebuild(p, kids.values(), **changes)
+    # a cut's name is bound, so it is never ``old``
+    changes = {"x": new} if p.x == old else {}
+    kids, y = _children(p), _bound(p)
+    if y == new:
+        changes[p.binder] = y = _rename_bound(p, kids)
+    for k, q in enumerate(kids):
+        if not (y == old and p.kids[k] in p.scope):
+            kids[k] = rename_free(q, old, new)
+    out = _rebuild(p, kids, **changes)
     # a capture-avoiding renaming changes just the one free name
     object.__setattr__(out, "_cached_free", (names - {old}) | {new})
     return out
+
+
+def _rename_bound(p: Process, kids: list[Process]) -> str:
+    """Rename ``p``'s bound name apart in the children ``kids`` (in
+    ``_children`` order) it is bound in; return the fresh name."""
+    y = _bound(p)
+    y2 = fresh_name(y)
+    for k, q in enumerate(kids):
+        if isinstance(p, Cut) or p.kids[k] in p.scope:
+            kids[k] = rename_free(q, y, y2)
+    return y2
 
 
 def strip_cut_annotations(p: Process) -> Process:
@@ -622,170 +633,105 @@ def _tc_rule(p: Process, env, base: RoleBase, path, memo) -> TypingDerivation:
     if missing:
         raise ProcessTypeError(f"free names not in the environment: {sorted(missing)}", path)
 
-    if p.rule is not None:  # a header: its channel's association, against its rule
-        x, rs, f = p.x, p.rs, _env_lookup(env, p.x)
-        a, transfer = f.body, p._connective is Msg
-        if f.roles != rs:
-            raise ProcessTypeError(f"header roles {rs} on {x} disagree with [{f.roles}]", path)
-        if not isinstance(a, p._connective) or a.r != p.r or transfer and a.s != p.s:
-            if p._connective is One:
-                want = f"wanted {_fmt(One(p.r))}"
-            else:
-                want = f"which does not match the {'transfer header' if transfer else 'header'}"
-            raise ProcessTypeError(f"{x} has type {_fmt(a)}, {want}", path)
-        if ((p.r in rs, p.s in rs) if transfer else (p.r in rs,)) != p._sides:
-            if transfer:
-                fault = f"disagrees with roles {p.r},{p.s} against {rs}"
-            else:
-                fault = f"needs role {p.r} {'in' if p._sides[0] else 'outside'} {rs}"
-            raise ProcessTypeError(f"{p.what} on {x} {fault}", path)
+    if p.rule is None:
+        return _tc_cut(p, env, base, path, memo)
 
-    match p:
-        case InEmpty():
-            if len(env) != 1:
-                raise ProcessTypeError("terminated input must own the whole environment", path)
-            return TypingDerivation(p.rule, p, env, (), subject=x)
+    # a header: its channel's association, against its rule
+    x, rs, f = p.x, p.rs, _env_lookup(env, p.x)
+    a, transfer = f.body, p._connective is Msg
+    if f.roles != rs:
+        raise ProcessTypeError(f"header roles {rs} on {x} disagree with [{f.roles}]", path)
+    if not isinstance(a, p._connective) or a.r != p.r or transfer and a.s != p.s:
+        if p._connective is One:
+            want = f"wanted {_fmt(One(p.r))}"
+        else:
+            want = f"which does not match the {'transfer header' if transfer else 'header'}"
+        raise ProcessTypeError(f"{x} has type {_fmt(a)}, {want}", path)
+    if ((p.r in rs, p.s in rs) if transfer else (p.r in rs,)) != p._sides:
+        if transfer:
+            fault = f"disagrees with roles {p.r},{p.s} against {rs}"
+        else:
+            fault = f"needs role {p.r} {'in' if p._sides[0] else 'outside'} {rs}"
+        raise ProcessTypeError(f"{p.what} on {x} {fault}", path)
 
-        case OutEmpty(body=body):
-            sub = _tc(body, _env_without(env, x), base, path + (0,), memo)
-            return TypingDerivation(p.rule, p, env, (sub,), subject=x)
-
-        case OutName(y=y, body=body):
-            y, body = _avoid(y, body, env)
-            pair = ((y, IFormula(rs, a.left)), (x, IFormula(rs, a.right)))
-            prem_env = _env_without(env, x) + pair
-            sub = _tc(body, prem_env, base, path + (0,), memo)
-            return TypingDerivation(p.rule, p, env, (sub,), subject=x, object_=y)
-
-        case InName(y=y, r=r, left=left, right=right):
-            y2, left2 = _avoid(y, left, env)
-            if y2 != y:
-                p = InName(x, rs, y2, r, left2, right)
-            y, left = y2, left2
-            rest = _env_without(env, x)
-            shared = [z for z, g in rest if z in free_names(left) and z in free_names(right)]
-            if shared:
-                return _contract_step(p, env, shared[0], base, path, memo)
-            env_l = tuple((z, g) for z, g in rest if z in free_names(left))
-            env_r = tuple((z, g) for z, g in rest if (z, g) not in env_l)
-            sub_l = _tc(left, env_l + ((y, IFormula(rs, a.left)),), base, path + (0,), memo)
-            sub_r = _tc(right, env_r + ((x, IFormula(rs, a.right)),), base, path + (1,), memo)
-            return TypingDerivation(p.rule, p, env, (sub_l, sub_r), subject=x, object_=y)
-
-        case SelL(body=body) | SelR(body=body):
-            pick = a.left if isinstance(p, SelL) else a.right
-            prem_env = _env_without(env, x) + ((x, IFormula(rs, pick)),)
-            sub = _tc(body, prem_env, base, path + (0,), memo)
-            return TypingDerivation(p.rule, p, env, (sub,), subject=x)
-
-        case Case(left=left, right=right):
-            rest = _env_without(env, x)
-            sub_l = _tc(left, rest + ((x, IFormula(rs, a.left)),), base, path + (0,), memo)
-            sub_r = _tc(right, rest + ((x, IFormula(rs, a.right)),), base, path + (1,), memo)
-            return TypingDerivation(p.rule, p, env, (sub_l, sub_r), subject=x)
-
-        case ServerAccept(y=y, body=body):
-            for z, g in env:
-                if z != x and not _is_query_assoc(g):
-                    raise ProcessTypeError(
-                        f"server context must be ?-shaped, but {z} : [{g.roles}]{_fmt(g.body)}",
-                        path,
-                    )
-            y, body = _avoid(y, body, env)
-            prem_env = _env_without(env, x) + ((y, IFormula(rs, a.body)),)
-            sub = _tc(body, prem_env, base, path + (0,), memo)
-            return TypingDerivation(p.rule, p, env, (sub,), subject=x, object_=y)
-
-        case ClientRequest(y=y, r=r, body=body):
-            y, body = _avoid(y, body, env)
-            if x in free_names(body):
-                x2 = fresh_name(x)
-                p2 = ClientRequest(x2, rs, y, r, body)
-                sub = _tc(p2, env + ((x2, f),), base, path, memo)
-                return TypingDerivation(
-                    "bang-neg-contract", p, env, (sub,), subject=x, object_=x2
-                )
-            prem_env = _env_without(env, x) + ((y, IFormula(rs, a.body)),)
-            sub = _tc(body, prem_env, base, path + (0,), memo)
-            return TypingDerivation(p.rule, p, env, (sub,), subject=x, object_=y)
-
-        case _Transfer(body=body):
-            prem_env = _env_without(env, x) + ((x, IFormula(rs, a.body)),)
-            sub = _tc(body, prem_env, base, path + (0,), memo)
-            return TypingDerivation(p.rule, p, env, (sub,), subject=x)
-
-        case Cut(x, ann, parts):
-            if ann is None:
-                raise ProcessTypeError("cut without a type annotation", path)
-            if not is_proc_type(ann):
-                raise ProcessTypeError(f"cut annotation is not a session type: {_fmt(ann)}", path)
-            if _env_lookup(env, x) is not None:
-                x2 = fresh_name(x)
-                parts = tuple(rename_free(q, x, x2) for q in parts)
-                p = Cut(x2, ann, parts)
-                x = x2
-            shared = []
-            for z, g in env:
-                holders = [k for k, q in enumerate(parts) if z in free_names(q)]
-                if len(holders) > 1:
-                    shared.append((z, g, holders))
-            if shared:
-                z, g, holders = shared[0]
-                if not _is_query_assoc(g):
-                    raise ProcessTypeError(
-                        f"{z} is shared by several parts but is not ?-shaped", path
-                    )
-                z2 = fresh_name(z)
-                parts2 = list(parts)
-                parts2[holders[1]] = rename_free(parts2[holders[1]], z, z2)
-                sub = _tc(Cut(x, ann, tuple(parts2)), env + ((z2, g),), base, path, memo)
-                return TypingDerivation(
-                    "bang-neg-contract", p, env, (sub,), subject=z, object_=z2
-                )
-            part_rs: list[RoleSet | None] = [_first_roles(q, x) for q in parts]
-            missing = [k for k, rs in enumerate(part_rs) if rs is None]
-            if len(missing) > 1:
+    # each premise keeps the rest of the environment and gains the parts of
+    # the channel's type that its rule's figure names
+    rest, split = _env_without(env, x), None
+    if p.rule == "bang-pos":
+        for z, g in rest:
+            if not _is_query_assoc(g):
                 raise ProcessTypeError(
-                    f"several parts never mention the linked name {x}", path
+                    f"server context must be ?-shaped, but {z} : [{g.roles}]{_fmt(g.body)}", path
                 )
-            if missing:
-                comps = [rl.complement(rs) for rs in part_rs if rs is not None]
-                used = rl.disjoint_union(comps) if comps else rl.empty_set(base)
-                if used is None:
-                    raise ProcessTypeError("link role-set complements overlap", path)
-                part_rs[missing[0]] = used
-            if not rl.is_partition_of_full([rl.complement(rs) for rs in part_rs]):
-                raise ProcessTypeError(
-                    "link role-set complements do not partition the base", path
-                )
-            subs = []
-            for k, q in enumerate(parts):
-                env_k = tuple((z, g) for z, g in env if z in free_names(q))
-                sub = _tc(q, env_k + ((x, IFormula(part_rs[k], ann)),), base, path + (k,), memo)
-                subs.append(sub)
-            return TypingDerivation(
-                "n-cut", p, env, tuple(subs), subject=x, rolesets=tuple(part_rs)
-            )
+    q, y = p, _bound(p)  # q is p with its bound name apart from the environment
+    if y is not None and _env_lookup(env, y) is not None:
+        kids = _children(p)
+        y = _rename_bound(p, kids)
+        q = _rebuild(p, kids, **{p.binder: y})
+    if p.rule == "bang-neg-derelict" and x in free_names(q.body):
+        return _contract(p, q, None, env, x, "is used again by the request", base, path, memo)
+    if p.rule == "tensor-pos" and rest:  # the rest splits by free names
+        fl, fr = free_names(q.left), free_names(q.right)
+        for z, _ in rest:
+            if z in fl and z in fr:
+                return _contract(p, q, 0, env, z, "is used in both branches", base, path, memo)
+        split = tuple(zg for zg in rest if zg[0] in fl), tuple(zg for zg in rest if zg[0] not in fl)
+    subs = ()
+    for k, adds in enumerate(p._figure):
+        prem = rest if split is None else split[k]
+        for bound, part in adds:
+            prem += ((y if bound else x, IFormula(rs, major_part(a, part, None))),)
+        subs += (_tc(getattr(q, q.kids[k]), prem, base, path + (k,), memo),)
+    return TypingDerivation(p.rule, p, env, subs, subject=x, object_=y)
 
-    raise TypeError(p)
+
+def _tc_cut(p: Cut, env, base: RoleBase, path, memo) -> TypingDerivation:
+    x, ann, parts = p.x, p.ann, p.parts
+    if ann is None:
+        raise ProcessTypeError("cut without a type annotation", path)
+    if not is_proc_type(ann):
+        raise ProcessTypeError(f"cut annotation is not a session type: {_fmt(ann)}", path)
+    # every name in env is free in p, so none is x: x needs no renaming here
+    for z, g in env:
+        holders = [k for k, q in enumerate(parts) if z in free_names(q)]
+        if len(holders) > 1:
+            why = "is shared by several parts"
+            return _contract(p, p, holders[1], env, z, why, base, path, memo)
+    part_rs: list[RoleSet | None] = [_first_roles(q, x) for q in parts]
+    missing = [k for k, rs in enumerate(part_rs) if rs is None]
+    if len(missing) > 1:
+        raise ProcessTypeError(f"several parts never mention the linked name {x}", path)
+    if missing:
+        comps = [rl.complement(rs) for rs in part_rs if rs is not None]
+        used = rl.disjoint_union(comps) if comps else rl.empty_set(base)
+        if used is None:
+            raise ProcessTypeError("link role-set complements overlap", path)
+        part_rs[missing[0]] = used
+    if not rl.is_partition_of_full([rl.complement(rs) for rs in part_rs]):
+        raise ProcessTypeError("link role-set complements do not partition the base", path)
+    subs = []
+    for k, q in enumerate(parts):
+        env_k = tuple((z, g) for z, g in env if z in free_names(q))
+        subs.append(_tc(q, env_k + ((x, IFormula(part_rs[k], ann)),), base, path + (k,), memo))
+    return TypingDerivation("n-cut", p, env, tuple(subs), subject=x, rolesets=tuple(part_rs))
 
 
-def _contract_step(p, env, z, base, path, memo):
+def _contract(p, q, k, env, z, why, base, path, memo) -> TypingDerivation:
+    """Type ``p`` by contracting the ?-shaped ``z``: a fresh copy of it takes
+    over child ``k``'s uses of ``z`` in ``q``, which is ``p`` with its bound
+    name renamed apart, or the header's own use when ``k`` is None."""
     g = _env_lookup(env, z)
     if not _is_query_assoc(g):
-        raise ProcessTypeError(f"{z} is used in both branches but is not ?-shaped", path)
+        raise ProcessTypeError(f"{z} {why} but is not ?-shaped", path)
     z2 = fresh_name(z)
-    assert isinstance(p, InName)
-    p2 = InName(p.x, p.rs, p.y, p.r, rename_free(p.left, z, z2), p.right)
-    sub = _tc(p2, env + ((z2, g),), base, path, memo)
+    kids = _children(q)
+    if k is None:
+        q = _rebuild(q, kids, x=z2)
+    else:
+        kids[k] = rename_free(kids[k], z, z2)
+        q = _rebuild(q, kids)
+    sub = _tc(q, env + ((z2, g),), base, path, memo)
     return TypingDerivation("bang-neg-contract", p, env, (sub,), subject=z, object_=z2)
-
-
-def _avoid(y: str, body: Process, env) -> tuple[str, Process]:
-    if any(z == y for z, _ in env):
-        y2 = fresh_name(y)
-        return y2, rename_free(body, y, y2)
-    return y, body
 
 
 def _fmt(a: Formula) -> str:
@@ -819,8 +765,6 @@ def erase_to_sequent(td: TypingDerivation) -> Derivation:
             raise EraseError("transfer headers have no logic-kernel counterpart")
         f = _env_lookup(td.env, td.subject)
         assert f is not None
-        if td.rule == "one-pos":
-            return DOnePos(f.roles, f.body.r)
         return build_rule(td.rule, f, subs)
 
     try:
@@ -982,25 +926,22 @@ def _convert(cut: Cut, q: Process, rest: tuple[Process, ...]) -> StepResult | No
     x, ann = cut.x, cut.ann
     if q.commute is None:
         return None
-    kids = dict(zip(q.kids, _children(q)))
-    changes = {}
+    kids, changes = _children(q), {}
     y = _bound(q)
     if y is not None and (y == x or any(y in free_names(t) for t in rest)):
-        changes[q.binder] = y2 = fresh_name(y)
-        for f in q.scope:
-            kids[f] = rename_free(kids[f], y, y2)
+        changes[q.binder] = _rename_bound(q, kids)
     if isinstance(q.commute, str):
-        into, rule = q.kids, q.commute
+        into, rule = range(len(kids)), q.commute
     else:
-        for f, rule in zip(q.kids, q.commute):
-            if x in free_names(kids[f]):
-                into = (f,)
+        for k, rule in enumerate(q.commute):
+            if x in free_names(kids[k]):
+                into = (k,)
                 break
         else:
             return None
-    for f in into:
-        kids[f] = Cut(x, ann, (kids[f],) + rest)
-    return StepResult(_rebuild(q, kids.values(), **changes), rule)
+    for k in into:
+        kids[k] = Cut(x, ann, (kids[k],) + rest)
+    return StepResult(_rebuild(q, kids, **changes), rule)
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,7 @@ def test_premises_follow_the_schema():
 # ---------------------------------------------------------------------------
 # building a node from its rule figure
 
-SPECIAL = (DId, DOnePos)  # no major to build from: the parser reads these itself
+SPECIAL = (DId,)  # no major to build from: the parser reads it itself
 
 
 def test_rule_table_names_every_class():

@@ -275,7 +275,8 @@ def test_cli_eta_and_cut2(capsys, tmp_path):
 
 def test_cli_cutn_and_split(capsys, tmp_path):
     f = {}
-    for name, sets in {"a": "[{0,1}] a, [{2}] a", "b": "[{0,2}] a, [{1}] a", "c": "[{1,2}] a, [{0}] a"}.items():
+    sets_by_name = {"a": "[{0,1}] a, [{2}] a", "b": "[{0,2}] a, [{1}] a", "c": "[{1,2}] a, [{0}] a"}
+    for name, sets in sets_by_name.items():
         p = tmp_path / f"{name}.drv"
         p.write_text(f"base 3\n(rule id :concl |- {sets})\n")
         f[name] = str(p)
@@ -377,7 +378,8 @@ def test_cli_run_flags_stuck_cut(capsys, tmp_path):
     # ill-typed mixture of headers on the linked name: no rule applies
     p = tmp_path / "stuck.pi"
     p.write_text(
-        "base 2\nproc new x: one[0] .( x{0}()@0.end | x{1}(case)@0.( x{1}()@0.end , x{1}()@0.end ) )\n"
+        "base 2\nproc new x: one[0] .( x{0}()@0.end"
+        " | x{1}(case)@0.( x{1}()@0.end , x{1}()@0.end ) )\n"
     )
     code, out = run(capsys, "run", str(p), "--fuel", "10")
     assert code == 1 and "stuck" in out

@@ -273,6 +273,14 @@ def test_one_pos_leaf():
     assert td.rule == "one-pos"
 
 
+def test_terminated_input_with_a_linear_association_left_over():
+    # a leaf's environment holds only its channel: a linear leftover is unused
+    env = {"x": IFormula(S0, One(0)), "z": IFormula(S0, One(1))}
+    with pytest.raises(ProcessTypeError) as err:
+        typecheck(InEmpty("x", S0, 0), env)
+    assert err.value.reason == "unused association z : [{0}]one[1] is not weakenable"
+
+
 def test_polarity_violation_on_output():
     p = OutName("x", S0, "y", 0, InEmpty("y", S0, 0))
     with pytest.raises(ProcessTypeError) as err:
