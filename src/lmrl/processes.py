@@ -15,8 +15,8 @@ from operator import itemgetter
 
 from . import roles as rl
 from .roles import RoleBase, RoleSet
-from .derivation import _CONJ_MEMBER_RULES, RULES, Derivation, MissingOccurrence
-from .derivation import build_rule, find_occurrence, major_part
+from .derivation import _CONJ_MEMBER_RULES, RULES, Calculus, Derivation, MissingOccurrence
+from .derivation import build_rule, find_occurrence, is_query_shaped, major_part
 from .syntax import (
     Bang,
     Formula,
@@ -547,10 +547,6 @@ def _env_without(env, name):
     return tuple((z, f) for z, f in env if z != name)
 
 
-def _is_query_assoc(f: IFormula) -> bool:
-    return isinstance(f.body, Bang) and f.body.r not in f.roles
-
-
 def _find_base(env, p: Process) -> RoleBase | None:
     for _, f in env:
         return f.roles.base
@@ -622,7 +618,7 @@ def _tc_rule(p: Process, env, base: RoleBase, path, memo) -> TypingDerivation:
     # discharge unused associations immediately (only ?-shaped ones may go)
     for z, f in env:
         if z not in fn:
-            if not _is_query_assoc(f):
+            if not is_query_shaped(f, Calculus.CONJ):
                 raise ProcessTypeError(
                     f"unused association {z} : [{f.roles}]{_fmt(f.body)} is not weakenable", path
                 )
@@ -659,7 +655,7 @@ def _tc_rule(p: Process, env, base: RoleBase, path, memo) -> TypingDerivation:
     rest, split = _env_without(env, x), None
     if p.rule == "bang-pos":
         for z, g in rest:
-            if not _is_query_assoc(g):
+            if not is_query_shaped(g, Calculus.CONJ):
                 raise ProcessTypeError(
                     f"server context must be ?-shaped, but {z} : [{g.roles}]{_fmt(g.body)}", path
                 )
@@ -721,7 +717,7 @@ def _contract(p, q, k, env, z, why, base, path, memo) -> TypingDerivation:
     over child ``k``'s uses of ``z`` in ``q``, which is ``p`` with its bound
     name renamed apart, or the header's own use when ``k`` is None."""
     g = _env_lookup(env, z)
-    if not _is_query_assoc(g):
+    if not is_query_shaped(g, Calculus.CONJ):
         raise ProcessTypeError(f"{z} {why} but is not ?-shaped", path)
     z2 = fresh_name(z)
     kids = _children(q)

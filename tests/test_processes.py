@@ -271,13 +271,9 @@ def test_corpus_negative_rejected(name):
 def test_one_pos_leaf():
     td = typecheck(InEmpty("x", S0, 0), {"x": IFormula(S0, One(0))})
     assert td.rule == "one-pos"
-
-
-def test_terminated_input_with_a_linear_association_left_over():
     # a leaf's environment holds only its channel: a linear leftover is unused
-    env = {"x": IFormula(S0, One(0)), "z": IFormula(S0, One(1))}
     with pytest.raises(ProcessTypeError) as err:
-        typecheck(InEmpty("x", S0, 0), env)
+        typecheck(InEmpty("x", S0, 0), {"x": IFormula(S0, One(0)), "z": IFormula(S0, One(1))})
     assert err.value.reason == "unused association z : [{0}]one[1] is not weakenable"
 
 
