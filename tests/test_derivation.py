@@ -1,16 +1,22 @@
 import glob
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
 from lmrl import roles as rl
 from lmrl.derivation import (
     Calculus,
+    DBangNegContract,
+    DBangNegDerelict,
+    DBangPos,
     DForallPos,
     DId,
+    DOneNeg,
     DOnePos,
+    DTensorNeg,
     DTensorPos,
+    DWithPos,
     RULES,
     Derivation,
     MalformedDerivation,
@@ -23,7 +29,7 @@ from lmrl.derivation import (
 )
 from lmrl.parser import parse_problem
 from lmrl.printer import format_derivation
-from lmrl.syntax import Atom, IFormula, Var
+from lmrl.syntax import Atom, IFormula, One, Var
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus", "logic")
 
@@ -257,3 +263,69 @@ def test_builder_checks_the_connective(cls):
     premises = [DId(a, (rl.roleset(B2, [0]), rl.roleset(B2, [1])))] * len(cls.schema)
     with pytest.raises(MalformedDerivation, match="major"):
         build_rule(cls.rule, IFormula(rl.roleset(B2, [0]), a), premises, Var("c"), "z")
+
+
+# ---------------------------------------------------------------------------
+# reasons for malformed nodes
+
+R0, R1 = rl.roleset(B2, [0]), rl.roleset(B2, [1])
+IDN = DId(a, (R0, R1))  # [{0}]a, [{1}]a
+
+
+def generic_node(cls):
+    """A ``cls`` node over identity premises, each premise's index fields at
+    0, 1, ... and every other field a well-typed filler."""
+    filler = {"r": 0, "rs": R1, "other": a, "body": a, "var": "x", "witness": Var("c")}
+    filler["eigen"] = "z"
+    args = {f: IDN for f in cls.schema}
+    for idx in cls.schema.values():
+        args.update((i, k) for k, i in enumerate(idx))
+    return cls(*[args[f] if f in args else filler[f] for f in cls.__match_args__])
+
+
+def malformed_nodes():
+    """(node, the reason ``check`` gives for it) for every way a node's
+    conclusion can fail to compute, plus the contraction polarity test."""
+    out = []
+    for cls in rule_classes():
+        for idx in cls.schema.values():
+            for i in idx:
+                for bad in (-1, 2):  # IDN concludes two occurrences
+                    out.append((replace(generic_node(cls), **{i: bad}), "index out of range"))
+    out += [
+        (DTensorNeg(0, IDN, 0, 0), "needs two distinct occurrences"),
+        (DBangNegContract(IDN, 1, 1), "needs two distinct occurrences"),
+        (DTensorNeg(0, IDN, 0, 1), "occurrences carry different role sets"),
+        (DTensorPos(0, IDN, 0, IDN, 1), "occurrences carry different role sets"),
+        (DWithPos(0, IDN, 0, IDN, 1), "occurrences carry different role sets"),
+        (DWithPos(0, IDN, 0, DId(Atom("b"), (R0, R1)), 0), "branch contexts differ"),
+        (DBangNegContract(IDN, 0, 1), "contracted occurrences differ"),
+        (
+            DBangNegContract(DOneNeg(R1, 0, DOneNeg(R1, 0, IDN)), 2, 3),
+            "only banged formulas contract",
+        ),
+        (DId(One(0), (R0, R1)), "identity concludes atoms only"),
+        (DId(a, ()), "identity needs at least one part"),
+    ]
+    out = [(d, f"{d.rule} at []: malformed: {reason}") for d, reason in out]
+    # ([{1}]!0 a, [{0}]!0 a) twice, tensored on the first occurrences: the
+    # two [{0}]!0 a then contract on the wrong side of their role set
+    bang = DBangPos(0, DBangNegDerelict(0, IDN, 1), 0)
+    wrong = DBangNegContract(DTensorPos(1, bang, 0, bang, 0), 0, 1)
+    reason = "(!-neg-contract) wrong polarity for role 0 in {0}"
+    out.append((wrong, f"bang-neg-contract at []: {reason}"))
+    return out
+
+
+def test_malformed_node_reasons():
+    cases = malformed_nodes()
+    # every index field of every rule, twice, and the eleven other cases
+    fields_ = sum(len(idx) for c in rule_classes() for idx in c.schema.values())
+    assert len(cases) == 2 * fields_ + 11
+    got, want = [], []
+    for d, reason in cases:
+        with pytest.raises(RuleViolation) as err:
+            check(d, Calculus.CONJ)
+        got.append(str(err.value))
+        want.append(reason)
+    assert got == want
