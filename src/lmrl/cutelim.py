@@ -166,23 +166,19 @@ def _erase(d: Derivation, occ: int) -> Derivation:
     """``d`` without conclusion occurrence ``occ``.  The other occurrences
     keep their order, so position ``p`` moves to ``p - (p > occ)``."""
     if occ in d.major_positions():
-        match d:
-            case DId(atom=a, rolesets=rss):
-                if len(rss) == 1:
-                    raise MalformedDerivation("identity over the empty role set alone")
-                return DId(a, rss[:occ] + rss[occ + 1 :])
-            case DOneNeg(premise=p) | DBangNegWeaken(premise=p):
-                return p
-            case DTensorNeg(premise=p, i=i, j=j) | DBangNegContract(premise=p, i=i, j=j):
-                return _erase(_erase(p, i), j - (j > i))
-            case DWithNegL(premise=p, i=i) | DWithNegR(premise=p, i=i) | DBangNegDerelict(
-                premise=p, i=i
-            ) | DForallNeg(premise=p, i=i):
-                return _erase(p, i)
-            case _:
-                raise MalformedDerivation(
-                    f"empty-role occurrence introduced by positive rule {d.rule}"
-                )
+        if isinstance(d, DId):
+            if len(d.rolesets) == 1:
+                raise MalformedDerivation("identity over the empty role set alone")
+            return DId(d.atom, d.rolesets[:occ] + d.rolesets[occ + 1 :])
+        if _wants_member(d.rule, Calculus.CONJ):
+            raise MalformedDerivation(f"empty-role occurrence introduced by positive rule {d.rule}")
+        # a negative rule's one premise without the occurrences it consumed
+        p, gone = d.premise, []
+        for i in d._indices[0]:
+            q = getattr(d, i)
+            p = _erase(p, q - sum(q > g for g in gone))
+            gone.append(q)
+        return p
     # context occurrence: erase it in the premise(s) holding it (both
     # branches of a with-pos) and close up the rule's index fields there
     prems = list(d.premises)

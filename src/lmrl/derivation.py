@@ -76,19 +76,20 @@ RULES: dict[str, type["Derivation"]] = {}
 
 
 class Derivation:
-    """Base node.  Subclasses set ``rule`` and implement ``_compute``.
+    """Base node.  Subclasses set ``rule`` and state the rule's figure.
 
     ``schema`` maps each premise field, in premise order, to the index fields
     that address occurrences in that premise's conclusion.  ``rebuild`` and
     ``_premise_removed`` are derived from it.
 
-    A rule with a major occurrence also states its figure for ``build_rule``:
-    ``connective``, the major's connective (None: any), and ``parts``, which
+    A rule with a major occurrence also states ``connective``, the major's
+    connective (None: the consumed occurrence itself), and ``parts``, which
     names the part of the major each index field addresses in its premise
     and each other field holds when the connective names that part
     differently.  A part is an attribute of the major's formula, ``major``
     for the formula itself, or ``instance`` for a quantifier body
-    instantiated with the rule's witness or eigenvariable.
+    instantiated with the rule's witness or eigenvariable.  ``_compute``
+    builds every conclusion from the figure, and ``build_rule`` every node.
     """
 
     rule: str = "?"
@@ -101,9 +102,9 @@ class Derivation:
         super().__init_subclass__(**kw)
         if "rule" in cls.__dict__:
             RULES[cls.rule] = cls
-        # fixed once per class: the index fields of each premise, and for
-        # rebuild the (argument slot, premise) pairs of the premise fields and
-        # of the index fields
+        # fixed once per class: the index fields of each premise, for rebuild
+        # the (argument slot, premise) pairs of the premise fields and of the
+        # index fields, and for _compute the sources of the major's arguments
         cls._indices = tuple(cls.schema.values())
         names = list(cls.__dict__.get("__annotations__", ()))
         if names:  # a rule, not a mixin
@@ -111,17 +112,54 @@ class Derivation:
             cls._index_slots = tuple(
                 (names.index(i), k) for k, idx in enumerate(cls._indices) for i in idx
             )
+            cls._plan = tuple(cls.schema.items()), "rs" in names, _major_sources(cls, names)
 
     @property
     def concl(self) -> Sequent:
         cached = getattr(self, "_concl", None)
         if cached is None:
-            cached = Sequent(tuple(self._compute()))
+            cached = Sequent(self._compute())
             object.__setattr__(self, "_concl", cached)
         return cached
 
-    def _compute(self) -> list[IFormula]:
-        raise NotImplementedError
+    def _compute(self) -> tuple[IFormula, ...]:
+        """Each premise's occurrences but those its index fields consume, in
+        premise order, then the major: the connective over its ``sources``,
+        under ``rs`` or the role set the consumed occurrences share."""
+        fields = self.__dict__
+        schema, has_rs, sources = self._plan
+        ctx: tuple[IFormula, ...] = ()
+        used: list[IFormula] = []
+        for f, idx in schema:
+            items = fields[f].concl.items
+            if not idx:
+                ctx += items
+                continue
+            qs: list[int] = []
+            for i in idx:
+                q = fields[i]
+                _require(0 <= q < len(items), "index out of range")
+                _require(q not in qs, "needs two distinct occurrences")
+                qs.append(q)
+                used.append(items[q])
+            lo = 0
+            for q in sorted(qs):
+                ctx += items[lo:q]
+                lo = q + 1
+            ctx += items[lo:]
+        con = self.connective
+        if con is None:  # contraction: the major is the consumed occurrence
+            a, b = used
+            _require(a == b, "contracted occurrences differ")
+            _require(isinstance(a.body, Bang), "only banged formulas contract")
+            return ctx + (a,)
+        roles = fields["rs"] if has_rs else used[0].roles
+        for a in used[1:]:
+            _require(a.roles == roles, "occurrences carry different role sets")
+        args = []
+        for s in sources:
+            args.append(fields[s] if s.__class__ is str else used[s].body)
+        return ctx + (IFormula(roles, con(*args)),)
 
     def major_positions(self) -> list[int]:
         return [len(self.concl) - 1]
@@ -182,18 +220,24 @@ class _TwoPremises(Derivation):
 
 
 class _OneOccurrence(_OnePremise):
-    """Rules turning premise occurrence ``i`` into the major formula that
-    ``_major`` builds from its body, under the same role set."""
+    """Rules turning premise occurrence ``i`` into the major formula."""
 
     schema = {"premise": ("i",)}
     parts = {"i": "body"}
 
-    def _compute(self):
-        items = self.premise.concl.items
-        _require(0 <= self.i < len(items), "index out of range")
-        a = items[self.i]
-        ctx = [f for k, f in enumerate(items) if k != self.i]
-        return ctx + [IFormula(a.roles, self._major(a.body))]
+
+def _major_sources(cls, names: list[str]) -> tuple[str | int, ...]:
+    """Per argument of ``cls``'s connective: the field holding it, named as
+    the argument (premises aside) or by ``parts``, else the place among the
+    consumed occurrences of the one whose body it is (``instance`` supplies
+    ``body``)."""
+    if cls.connective is None:
+        return ()
+    consumed = [i for idx in cls.schema.values() for i in idx]
+    by_part = {("body" if p == "instance" else p): f for f, p in cls.parts.items()}
+    own = set(names) - set(cls.schema)
+    fields = [arg if arg in own else by_part[arg] for arg in cls.connective.__match_args__]
+    return tuple(consumed.index(f) if f in consumed else f for f in fields)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +254,7 @@ class DId(Derivation):
     def _compute(self):
         _require(isinstance(self.atom, Atom), "identity concludes atoms only")
         _require(len(self.rolesets) >= 1, "identity needs at least one part")
-        return [IFormula(r, self.atom) for r in self.rolesets]
+        return tuple([IFormula(r, self.atom) for r in self.rolesets])
 
     def major_positions(self):
         return list(range(len(self.rolesets)))
@@ -223,9 +267,6 @@ class DOnePos(Derivation):
     rule = "one-pos"
     connective = One
 
-    def _compute(self):
-        return [IFormula(self.rs, One(self.r))]
-
 
 @dataclass(frozen=True, eq=False)
 class DOneNeg(_OnePremise):
@@ -234,9 +275,6 @@ class DOneNeg(_OnePremise):
     premise: Derivation
     rule = "one-neg"
     connective = One
-
-    def _compute(self):
-        return list(self.premise.concl.items) + [IFormula(self.rs, One(self.r))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,15 +288,6 @@ class DTensorNeg(_OnePremise):
     schema = {"premise": ("i", "j")}
     parts = _TwoPremises.parts
 
-    def _compute(self):
-        items = self.premise.concl.items
-        _require(0 <= self.i < len(items) and 0 <= self.j < len(items), "index out of range")
-        _require(self.i != self.j, "needs two distinct occurrences")
-        a, b = items[self.i], items[self.j]
-        _require(a.roles == b.roles, "occurrences carry different role sets")
-        ctx = [f for k, f in enumerate(items) if k not in (self.i, self.j)]
-        return ctx + [IFormula(a.roles, Tensor(self.r, a.body, b.body))]
-
 
 @dataclass(frozen=True, eq=False)
 class DTensorPos(_TwoPremises):
@@ -269,15 +298,6 @@ class DTensorPos(_TwoPremises):
     j: int
     rule = "tensor-pos"
     connective = Tensor
-
-    def _compute(self):
-        li, ri = self.left.concl.items, self.right.concl.items
-        _require(0 <= self.i < len(li) and 0 <= self.j < len(ri), "index out of range")
-        a, b = li[self.i], ri[self.j]
-        _require(a.roles == b.roles, "occurrences carry different role sets")
-        ctx = [f for k, f in enumerate(li) if k != self.i]
-        ctx += [f for k, f in enumerate(ri) if k != self.j]
-        return ctx + [IFormula(a.roles, Tensor(self.r, a.body, b.body))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,9 +310,6 @@ class DWithNegL(_OneOccurrence):
     connective = With
     parts = {"i": "left", "other": "right"}
 
-    def _major(self, body):
-        return With(self.r, body, self.other)
-
 
 @dataclass(frozen=True, eq=False)
 class DWithNegR(_OneOccurrence):
@@ -303,9 +320,6 @@ class DWithNegR(_OneOccurrence):
     rule = "with-neg-r"
     connective = With
     parts = {"i": "right", "other": "left"}
-
-    def _major(self, body):
-        return With(self.r, self.other, body)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,17 +333,11 @@ class DWithPos(_TwoPremises):
     connective = With
 
     def _compute(self):
-        li, ri = self.left.concl.items, self.right.concl.items
-        _require(0 <= self.i < len(li) and 0 <= self.j < len(ri), "index out of range")
-        a, b = li[self.i], ri[self.j]
-        _require(a.roles == b.roles, "occurrences carry different role sets")
-        ctx1 = [f for k, f in enumerate(li) if k != self.i]
-        ctx2 = [f for k, f in enumerate(ri) if k != self.j]
-        _require(
-            sorted(f.key() for f in ctx1) == sorted(f.key() for f in ctx2),
-            "branch contexts differ",
-        )
-        return ctx1 + [IFormula(a.roles, With(self.r, a.body, b.body))]
+        out = super()._compute()  # both branch contexts, then the major
+        n = len(self.left.concl) - 1
+        keys = sorted(f.key() for f in out[:n]), sorted(f.key() for f in out[n:-1])
+        _require(keys[0] == keys[1], "branch contexts differ")
+        return out[:n] + out[-1:]  # the shared context once
 
     def context_maps(self):
         # Shared context: every conclusion occurrence maps into both branches;
@@ -357,9 +365,6 @@ class DBangPos(_OneOccurrence):
     rule = "bang-pos"
     connective = Bang
 
-    def _major(self, body):
-        return Bang(self.r, body)
-
 
 @dataclass(frozen=True, eq=False)
 class DBangNegWeaken(_OnePremise):
@@ -370,9 +375,6 @@ class DBangNegWeaken(_OnePremise):
     rule = "bang-neg-weaken"
     connective = Bang
 
-    def _compute(self):
-        return list(self.premise.concl.items) + [IFormula(self.rs, Bang(self.r, self.body))]
-
 
 @dataclass(frozen=True, eq=False)
 class DBangNegDerelict(_OneOccurrence):
@@ -381,9 +383,6 @@ class DBangNegDerelict(_OneOccurrence):
     i: int
     rule = "bang-neg-derelict"
     connective = Bang
-
-    def _major(self, body):
-        return Bang(self.r, body)
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,16 +393,6 @@ class DBangNegContract(_OnePremise):
     rule = "bang-neg-contract"
     schema = {"premise": ("i", "j")}
     parts = {"i": "major", "j": "major"}
-
-    def _compute(self):
-        items = self.premise.concl.items
-        _require(0 <= self.i < len(items) and 0 <= self.j < len(items), "index out of range")
-        _require(self.i != self.j, "needs two distinct occurrences")
-        a, b = items[self.i], items[self.j]
-        _require(a == b, "contracted occurrences differ")
-        _require(isinstance(a.body, Bang), "only banged formulas contract")
-        ctx = [f for k, f in enumerate(items) if k not in (self.i, self.j)]
-        return ctx + [a]
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,9 +407,6 @@ class DForallNeg(_OneOccurrence):
     connective = Forall
     parts = {"i": "instance"}
 
-    def _major(self, body):
-        return Forall(self.r, self.var, self.body)
-
 
 @dataclass(frozen=True, eq=False)
 class DForallPos(_OneOccurrence):
@@ -430,10 +416,7 @@ class DForallPos(_OneOccurrence):
     i: int
     rule = "forall-pos"
     connective = Forall
-    parts = {"i": "instance"}
-
-    def _major(self, body):
-        return Forall(self.r, self.eigen, body)
+    parts = {"i": "instance", "eigen": "var"}
 
 
 # ---------------------------------------------------------------------------
@@ -607,22 +590,15 @@ def _check_node(d: Derivation, calc: Calculus, path: tuple[int, ...]):
         _fail(path, d, f"malformed: {e}")
 
     label = RULE_LABELS[calc][d.rule]
-    match d:
-        case DId(atom=_, rolesets=rss):
-            parts = list(rss) if calc is Calculus.CONJ else [rl.complement(s) for s in rss]
-            if not rl.is_partition_of_full(parts):
-                _fail(path, d, f"({label}) role sets do not partition the base")
-        case DOnePos(rs=rs, r=r) | DOneNeg(rs=rs, r=r) | DBangNegWeaken(r=r, rs=rs):
-            if (r in rs) != _wants_member(d.rule, calc):
-                _fail(path, d, f"({label}) wrong polarity for role {r} in {rs}")
-        case DBangNegContract():
-            a = concl[d.major_positions()[0]]
-            if (a.body.r in a.roles) != _wants_member(d.rule, calc):
-                _fail(path, d, f"({label}) wrong polarity for role {a.body.r} in {a.roles}")
-        case _:
-            a = concl[d.major_positions()[0]]
-            if (d.r in a.roles) != _wants_member(d.rule, calc):
-                _fail(path, d, f"({label}) wrong polarity for role {d.r} in {a.roles}")
+    if isinstance(d, DId):
+        rss = d.rolesets
+        parts = list(rss) if calc is Calculus.CONJ else [rl.complement(s) for s in rss]
+        if not rl.is_partition_of_full(parts):
+            _fail(path, d, f"({label}) role sets do not partition the base")
+    else:
+        a = concl.items[-1]
+        if (a.body.r in a.roles) != _wants_member(d.rule, calc):
+            _fail(path, d, f"({label}) wrong polarity for role {a.body.r} in {a.roles}")
 
     match d:
         case DBangPos():
