@@ -688,8 +688,9 @@ def _tc_cut(p: Cut, env, base: RoleBase, path, memo) -> TypingDerivation:
     if not is_proc_type(ann):
         raise ProcessTypeError(f"cut annotation is not a session type: {_fmt(ann)}", path)
     # every name in env is free in p, so none is x: x needs no renaming here
+    frees = [free_names(q) for q in parts]
     for z, g in env:
-        holders = [k for k, q in enumerate(parts) if z in free_names(q)]
+        holders = [k for k, fn in enumerate(frees) if z in fn]
         if len(holders) > 1:
             why = "is shared by several parts"
             return _contract(p, p, holders[1], env, z, why, base, path, memo)
@@ -707,7 +708,7 @@ def _tc_cut(p: Cut, env, base: RoleBase, path, memo) -> TypingDerivation:
         raise ProcessTypeError("link role-set complements do not partition the base", path)
     subs = []
     for k, q in enumerate(parts):
-        env_k = tuple((z, g) for z, g in env if z in free_names(q))
+        env_k = tuple((z, g) for z, g in env if z in frees[k])
         subs.append(_tc(q, env_k + ((x, IFormula(part_rs[k], ann)),), base, path + (k,), memo))
     return TypingDerivation("n-cut", p, env, tuple(subs), subject=x, rolesets=tuple(part_rs))
 
