@@ -300,13 +300,6 @@ class Sequent:
     def __iter__(self):
         return iter(self.items)
 
-    def without(self, *indices: int) -> Sequent:
-        drop = set(indices)
-        return Sequent(tuple(f for i, f in enumerate(self.items) if i not in drop))
-
-    def extended(self, *extra: IFormula) -> Sequent:
-        return Sequent(self.items + tuple(extra))
-
 
 def sequent(*items: IFormula) -> Sequent:
     return Sequent(tuple(items))
