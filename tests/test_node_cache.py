@@ -17,9 +17,10 @@ from worlds import ATOMS, enumerate_derivations, tall_tower
 
 from lmrl import derivation
 from lmrl import roles as rl
-from lmrl.cutelim import cut2
-from lmrl.derivation import DId, DOneNeg, DWithPos, Derivation, check, height
+from lmrl.cutelim import cut1, cut2
+from lmrl.derivation import DId, DOneNeg, DOnePos, DWithPos, Derivation, check, height
 from lmrl.parser import parse_problem
+from lmrl.syntax import One
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 B2 = rl.finite_base(2)
@@ -187,6 +188,39 @@ def repeated_context_nodes():
                 d = DOneNeg(rl.roleset(B2, s), 0, d)
             branches.append(d)
         yield DWithPos(0, branches[0], 0, branches[1], 0)
+
+
+def context_cases(roles):
+    """(node, position) for each context occurrence of a repeated-context
+    node that carries ``roles`` and the one unit."""
+    for d in repeated_context_nodes():
+        for q, f in enumerate(d.concl.items[:-1]):
+            if f.body == One(0) and f.roles == roles:
+                yield d, q
+
+
+def assert_removed(out: Derivation, d: Derivation, q: int):
+    """``out`` re-checks and concludes ``d``'s conclusion without ``q``."""
+    want = [f.key() for f in d.concl.items]
+    del want[q]
+    assert sorted(f.key() for f in check(out).items) == sorted(want)
+
+
+def test_erasing_through_a_reordered_with_pos_context():
+    # the right branch holds the shared context in another order, so
+    # erasing an occurrence there must find it by value
+    cases = list(context_cases(rl.empty_set(B2)))
+    assert len(cases) == 72
+    for d, q in cases:
+        assert_removed(cut1(d, q), d, q)
+
+
+def test_commuting_through_a_reordered_with_pos_context():
+    one = rl.roleset(B2, [1])
+    cases = list(context_cases(one))
+    assert len(cases) == 72
+    for d, q in cases:
+        assert_removed(cut2(d, q, DOnePos(rl.complement(one), 0), 0), d, q)
 
 
 @pytest.mark.parametrize(
