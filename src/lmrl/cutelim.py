@@ -118,21 +118,21 @@ def _freshen_eigen(d: DForallPos, z: str | None = None) -> DForallPos:
 # premise's kept occurrences in premise order, then the major last.  So
 # removing or consuming occurrences only closes up the positions after them:
 # where the rule is known, positions shift by arithmetic, and elsewhere they
-# go through the rule's ``context_maps``.
+# are read a whole premise block at a time from ``Derivation.blocks``.
 
 
-def _context(d: Derivation, occs, only: int | None = None) -> list[tuple[int, int, int]]:
+def _context(d: Derivation, occs, only: int = 0) -> list[tuple[int, int, int]]:
     """(position, premise, premise position) of each context occurrence of
     ``d`` outside ``occs``, in conclusion order.  A with-pos node's context
-    is shared by both branches; pass ``only`` to read it from one of them."""
-    cmaps = d.context_maps()
-    ks = range(len(cmaps)) if only is None else (only,)
-    return [(q, k, p) for k in ks for q, p in cmaps[k].items() if q not in occs]
+    is shared by both branches; it is read from branch ``only``."""
+    bs = list(enumerate(d.blocks()))
+    bs = bs[only : only + 1] if isinstance(d, DWithPos) else bs
+    return [(s + j, k, p) for k, (s, kept) in bs for j, p in enumerate(kept) if s + j not in occs]
 
 
 def _concl_maps(node: Derivation) -> list[dict[int, int]]:
     """Per premise, kept premise positions -> ``node`` conclusion positions."""
-    return [dict(zip(cm.values(), cm)) for cm in node.context_maps()]
+    return [dict(zip(kept, range(s, s + len(kept)))) for s, kept in node.blocks()]
 
 
 def _contract_chain(d: Derivation, pairs) -> tuple[Derivation, list[int]]:
@@ -165,11 +165,11 @@ def cut1(d: Derivation, occ: int) -> Derivation:
 def _erase(d: Derivation, occ: int) -> Derivation:
     """``d`` without conclusion occurrence ``occ``.  The other occurrences
     keep their order, so position ``p`` moves to ``p - (p > occ)``."""
-    if occ in d.major_positions():
-        if isinstance(d, DId):
-            if len(d.rolesets) == 1:
-                raise MalformedDerivation("identity over the empty role set alone")
-            return DId(d.atom, d.rolesets[:occ] + d.rolesets[occ + 1 :])
+    if isinstance(d, DId):
+        if len(d.rolesets) == 1:
+            raise MalformedDerivation("identity over the empty role set alone")
+        return DId(d.atom, d.rolesets[:occ] + d.rolesets[occ + 1 :])
+    if occ == len(d.concl) - 1:
         if _wants_member(d.rule, Calculus.CONJ):
             raise MalformedDerivation(f"empty-role occurrence introduced by positive rule {d.rule}")
         # a negative rule's one premise without the occurrences it consumed
@@ -183,11 +183,11 @@ def _erase(d: Derivation, occ: int) -> Derivation:
     # branches of a with-pos) and close up the rule's index fields there
     prems = list(d.premises)
     maps = [None] * len(prems)
-    for k, cm in enumerate(d.context_maps()):
-        p = cm.get(occ)
-        if p is not None:
+    for k, (s, kept) in enumerate(d.blocks()):
+        if s <= occ < s + len(kept):
+            p = kept[occ - s]
             prems[k] = _erase(prems[k], p)
-            maps[k] = {i: i - (i > p) for i in d._premise_removed(k)}
+            maps[k] = {q: q - (q > p) for q in (getattr(d, i) for i in d._indices[k])}
     return d.rebuild(prems, maps)
 
 
@@ -214,7 +214,7 @@ def _lift(node: Derivation, pos: list[int], j: int | None = None) -> list[int]:
     """Positions in ``node``'s first premise moved to its conclusion: those
     after an occurrence the rule consumed close up, and part ``j``'s
     occurrence becomes the new major."""
-    gone = node._premise_removed(0)
+    gone = [getattr(node, i) for i in node._indices[0]]
     out = [p - sum(p > g for g in gone) for p in pos]
     if j is not None:
         out[j] = len(node.concl) - 1
@@ -326,7 +326,7 @@ class CutSpec:
 
 
 def _is_principal(d: Derivation, occs: frozenset[int]) -> bool:
-    return not occs.isdisjoint(d.major_positions())
+    return isinstance(d, DId) or len(d.concl) - 1 in occs
 
 
 def _spill(s1: _Side, s2: _Side, cutf: Formula, parent) -> tuple[Derivation, dict, dict, int]:
@@ -394,22 +394,20 @@ def _commute(sc: _Side, so: _Side, cutf: Formula, measure):
     d = sc.d
     if isinstance(d, DForallPos):
         d = _freshen_eigen(d)
-    occs, cmaps = sc.occs, d.context_maps()
-    prems, ops, cuts = list(d.premises), [None] * len(cmaps), []
-    for k, cm in enumerate(cmaps):
-        des = frozenset(cm[q] for q in occs if q in cm)
+    occs, blocks = sc.occs, d.blocks()
+    prems, ops, cuts = list(d.premises), [None] * len(blocks), []
+    for k, (s, kept) in enumerate(blocks):
+        des = frozenset(kept[q - s] for q in occs if s <= q < s + len(kept))
         if des:
             prems[k], ops[k], oo, sp = _spill(_Side(prems[k], des, sc.rs), so, cutf, measure)
             cuts.append((k, oo, sp))
     node = d.rebuild(prems, ops)
     shs = _concl_maps(node)
     out_c = {}
-    for cm, sh, op in zip(cmaps[:1] if isinstance(d, DWithPos) else cmaps, shs, ops):
-        for q, p in cm.items():
-            if op is None:
-                out_c[q] = sh[p]
-            elif q not in occs:
-                out_c[q] = sh[op[p]]
+    for (s, kept), sh, op in zip(blocks[:1] if isinstance(d, DWithPos) else blocks, shs, ops):
+        for q, p in enumerate(kept, s):
+            if q not in occs:
+                out_c[q] = sh[p if op is None else op[p]]
     out_c[len(d.concl) - 1] = len(node.concl) - 1
     k, oo, sp = cuts[0]
     sh = shs[k]
@@ -493,9 +491,8 @@ def _principal_spill(s1: _Side, s2: _Side, cutf: Formula, measure):
     posmaps = [{getattr(d1, i): c[3]} for (i,), c in zip(d1._indices, cuts)]
     node = d1.rebuild([c[0] for c in cuts], posmaps)
     shs = _concl_maps(node)
-    only = 0 if isinstance(d1, DWithPos) else None
-    o1 = {q: shs[k][cuts[k][1][p]] for q, k, p in _context(d1, s1.occs, only)}
-    o2 = {q: shs[k][cuts[k][2][p]] for q, k, p in _context(d2, s2.occs, only)}
+    o1 = {q: shs[k][cuts[k][1][p]] for q, k, p in _context(d1, s1.occs)}
+    o2 = {q: shs[k][cuts[k][2][p]] for q, k, p in _context(d2, s2.occs)}
     return node, o1, o2, len(node.concl) - 1
 
 

@@ -6,7 +6,8 @@ rule invents (witness terms, weakened formulas, ...).  Conclusions are
 laid out canonically: kept premise occurrences in premise order, then the
 major occurrence last (identity-style leaves consist of majors only).  So
 erasing occurrence ``occ`` from a derivation (``cutelim._erase``) keeps the
-others in order, at ``p - (p > occ)``; cut elimination relies on it.
+others in order, at ``p - (p > occ)``; cut elimination relies on it, and
+reads the layout one premise block at a time from ``Derivation.blocks``.
 Stated conclusions in serialized derivations are checked against the
 recomputed ones up to permutation.
 
@@ -79,8 +80,8 @@ class Derivation:
     """Base node.  Subclasses set ``rule`` and state the rule's figure.
 
     ``schema`` maps each premise field, in premise order, to the index fields
-    that address occurrences in that premise's conclusion.  ``rebuild`` and
-    ``_premise_removed`` are derived from it.
+    that address occurrences in that premise's conclusion.  ``rebuild``,
+    ``_compute`` and ``blocks`` are derived from it.
 
     A rule with a major occurrence also states ``connective``, the major's
     connective (None: the consumed occurrence itself), and ``parts``, which
@@ -161,14 +162,6 @@ class Derivation:
             args.append(fields[s] if s.__class__ is str else used[s].body)
         return ctx + (IFormula(roles, con(*args)),)
 
-    def major_positions(self) -> list[int]:
-        return [len(self.concl) - 1]
-
-    def _premise_removed(self, k: int) -> set[int]:
-        """Premise-``k`` positions consumed by the rule."""
-        fields = self.__dict__
-        return {fields[f] for f in self._indices[k]}
-
     def rebuild(self, premises, posmaps=None, **changes) -> "Derivation":
         """The same rule over new ``premises``.
 
@@ -186,20 +179,19 @@ class Derivation:
                     args[slot] = posmaps[k][args[slot]]
         return type(self)(*args)
 
-    def context_maps(self) -> list[dict[int, int]]:
-        """Per premise, a map conclusion-position -> premise-position.
-
-        Covers exactly the non-major conclusion occurrences that premise
-        contributes (shared-context rules cover them in both premises).
-        """
-        maps = []
-        offset = 0
-        for k, p in enumerate(self.premises):
-            removed = self._premise_removed(k)
-            kept = [i for i in range(len(p.concl)) if i not in removed]
-            maps.append({offset + j: i for j, i in enumerate(kept)})
-            offset += len(kept)
-        return maps
+    def blocks(self) -> list[tuple[int, list[int]]]:
+        """The layout ``_compute`` writes, one block per premise: ``(start,
+        kept)``, where the block begins at conclusion position ``start`` and
+        holds premise positions ``kept``, in order.  Read after ``concl``."""
+        fields = self.__dict__
+        out, start = [], 0
+        for f, idx in self._plan[0]:
+            kept = list(range(len(fields[f].concl)))
+            for q in sorted([fields[i] for i in idx], reverse=True):
+                del kept[q]
+            out.append((start, kept))
+            start += len(kept)
+        return out
 
 
 class _OnePremise(Derivation):
@@ -255,9 +247,6 @@ class DId(Derivation):
         _require(isinstance(self.atom, Atom), "identity concludes atoms only")
         _require(len(self.rolesets) >= 1, "identity needs at least one part")
         return tuple([IFormula(r, self.atom) for r in self.rolesets])
-
-    def major_positions(self):
-        return list(range(len(self.rolesets)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,22 +328,15 @@ class DWithPos(_TwoPremises):
         _require(keys[0] == keys[1], "branch contexts differ")
         return out[:n] + out[-1:]  # the shared context once
 
-    def context_maps(self):
-        # Shared context: every conclusion occurrence maps into both branches;
-        # the second branch is matched by value, each occurrence taking the
-        # lowest unused position holding its key.
+    def blocks(self):
+        # One shared block, read from both branches: the right one is matched
+        # by value, the n-th left occurrence of a key taking the n-th right one.
+        (_, kept1), (_, kept2) = super().blocks()
         left, right = self.left.concl, self.right.concl
-        kept1 = [i for i in range(len(left)) if i != self.i]
         unused: dict = {}  # key -> positions, highest first
-        for j in reversed(range(len(right))):
-            if j != self.j:
-                unused.setdefault(right[j].key(), []).append(j)
-        m2: dict[int, int] = {}
-        for pos, i in enumerate(kept1):
-            bucket = unused.get(left[i].key())
-            if bucket:
-                m2[pos] = bucket.pop()
-        return [dict(enumerate(kept1)), m2]
+        for j in reversed(kept2):
+            unused.setdefault(right[j].key(), []).append(j)
+        return [(0, kept1), (0, [unused[left[i].key()].pop() for i in kept1])]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,8 @@
-"""Node metadata cached on derivations: heights and the with-pos context maps.
+"""Node metadata on derivations: cached heights and conclusions, and the
+layout blocks that cut elimination reads, with-pos ones matched by value.
 
 Counts, not timings: the cut-elimination hot path must compute each node's
-height once and read each node's major positions once per visit.
+height once and read each node's layout a bounded number of times per visit.
 """
 
 import glob
@@ -15,7 +16,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 from worlds import ATOMS, enumerate_derivations, tall_tower
 
-from lmrl import derivation
+from lmrl import cutelim, derivation
 from lmrl import roles as rl
 from lmrl.cutelim import cut1, cut2
 from lmrl.derivation import DId, DOneNeg, DOnePos, DWithPos, Derivation, check, height
@@ -118,29 +119,39 @@ def test_rebuilt_nodes_carry_no_stale_height():
 
 
 # ---------------------------------------------------------------------------
-# major positions
+# layout reads
 
 
-def test_cut_on_a_tower_reads_major_positions_once_per_visit(monkeypatch):
+def counted(monkeypatch, owner, name, calls):
+    """Wrap ``owner.name`` so that each call appends its first argument."""
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_cut_on_a_tower_reads_each_layout_once_per_visit(monkeypatch):
     tower = tall_tower(random.Random(5), 150)
-    calls = []
-    for cls in (Derivation, DId):
-        original = cls.__dict__["major_positions"]
-
-        def counting(self, original=original):
-            calls.append(self)
-            return original(self)
-
-        monkeypatch.setattr(cls, "major_positions", counting)
+    layouts, principal, visits = [], [], []
+    # a with-pos node reads its own layout through Derivation.blocks too
+    counted(monkeypatch, Derivation, "blocks", layouts)
+    counted(monkeypatch, cutelim, "_is_principal", principal)
+    counted(monkeypatch, cutelim, "_spill", visits)
     cut2(tower, 0, identity(), 1)
-    # each step down the tower asks both cut sides whether they are
-    # principal and the commuted side for its majors once more; erasing the
-    # spilled empty-role occurrence visits each level once more
-    assert len(calls) <= 4 * 150
+    # each step down the tower reads the commuted node's layout and the
+    # rebuilt node's once each; erasing the spilled empty-role occurrence
+    # visits each level once more
+    assert len(layouts) <= 3 * 150
+    # each visit asks both cut sides once whether they are principal
+    assert len(principal) <= 2 * len(visits)
+    assert len(visits) >= 150
 
 
 # ---------------------------------------------------------------------------
-# with-pos context maps
+# with-pos layout blocks
 
 
 def greedy_context_maps(d: DWithPos):
@@ -228,8 +239,9 @@ def test_commuting_through_a_reordered_with_pos_context():
     [corpus_derivations, world_pair_nodes, repeated_context_nodes],
     ids=lambda f: f.__name__,
 )
-def test_with_pos_context_maps_match_the_greedy_reference(source):
+def test_with_pos_blocks_match_the_greedy_reference(source):
     nodes = [d for d in subderivations(source()) if isinstance(d, DWithPos)]
     assert nodes
     for d in nodes:
-        assert d.context_maps() == greedy_context_maps(d)
+        d.concl
+        assert [dict(enumerate(kept, s)) for s, kept in d.blocks()] == greedy_context_maps(d)
