@@ -119,7 +119,9 @@ class Derivation:
     def concl(self) -> Sequent:
         cached = getattr(self, "_concl", None)
         if cached is None:
-            cached = Sequent(self._compute())
+            if any(getattr(p, "_concl", None) is None for p in self.premises):
+                return _fill(self, "_concl", _conclusion)
+            cached = _conclusion(self)
             object.__setattr__(self, "_concl", cached)
         return cached
 
@@ -526,26 +528,33 @@ def is_query_shaped(item: IFormula, calc: Calculus) -> bool:
     return member if calc is Calculus.DISJ else not member
 
 
-def height(d: Derivation) -> int:
-    """Rule levels from ``d`` to its deepest leaf, computed once per node and
-    cached on it.  Uncached nodes are filled bottom-up from an explicit
-    stack, so a tall derivation does not recurse."""
-    cached = getattr(d, "_height", None)
-    if cached is not None:
-        return cached
+def _fill(d: Derivation, attr: str, compute):
+    """Store ``compute(node)`` as ``attr`` on ``d`` and on every node below it
+    that lacks it, premises first and in premise order, from an explicit
+    stack so that a tall derivation does not recurse; returns ``d``'s value."""
     stack = [d]
     while stack:
         node = stack[-1]
-        if getattr(node, "_height", None) is not None:
-            stack.pop()
-            continue
-        todo = [p for p in node.premises if getattr(p, "_height", None) is None]
+        todo = [p for p in reversed(node.premises) if getattr(p, attr, None) is None]
         if todo:
-            stack.extend(todo)
+            stack += todo
         else:
             stack.pop()
-            object.__setattr__(node, "_height", _height(node))
-    return d._height
+            if getattr(node, attr, None) is None:  # a shared node may be stacked twice
+                object.__setattr__(node, attr, compute(node))
+    return getattr(d, attr)
+
+
+def height(d: Derivation) -> int:
+    """Rule levels from ``d`` to its deepest leaf, computed once per node and
+    cached on it by ``_fill``."""
+    cached = getattr(d, "_height", None)
+    return cached if cached is not None else _fill(d, "_height", _height)
+
+
+def _conclusion(d: Derivation) -> Sequent:
+    """Conclusion of ``d`` from the cached conclusions of its premises."""
+    return Sequent(d._compute())
 
 
 def _height(d: Derivation) -> int:

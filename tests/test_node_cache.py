@@ -77,6 +77,15 @@ def test_height_of_a_tall_chain_does_not_recurse():
     assert height(d.premise) == 4999
 
 
+def test_conclusion_of_a_tall_chain_does_not_recurse():
+    d = identity()
+    for _ in range(4999):
+        d = DOneNeg(rl.empty_set(B2), 0, d)
+    assert sys.getrecursionlimit() < 5000
+    assert len(d.concl) == 5001
+    assert len(d.premise.concl) == 5000
+
+
 def test_tall_tower_has_its_height():
     for h in (1, 2, 75):
         tower = tall_tower(random.Random(h), h)
