@@ -252,5 +252,5 @@ def test_with_pos_blocks_match_the_greedy_reference(source):
     nodes = [d for d in subderivations(source()) if isinstance(d, DWithPos)]
     assert nodes
     for d in nodes:
-        d.concl
+        d.concl  # blocks are read after the conclusion, as cut elimination does
         assert [dict(enumerate(kept, s)) for s, kept in d.blocks()] == greedy_context_maps(d)
