@@ -4,7 +4,9 @@
 formula below, over bases 2 and 3, with the connective's role set to each
 role of the base, at one-part, two-part and empty-part partitions.  Each
 entry line names the calculus, formula and parts, and the printed
-derivation follows.  Every expansion re-checks in its calculus and
+derivation follows.  Then come conjunctions of equal parts over
+partitions that repeat a role set, where an expansion must keep each
+part's occurrence apart from its equals by position.  Every expansion re-checks in its calculus and
 concludes one occurrence of the formula per part.  A change to eta
 expansion or to node conclusions that must not alter its derivations
 keeps this file as it is; one that means to regenerates it with
@@ -21,6 +23,12 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "eta
 PARTITIONS = {
     2: [[(0, 1)], [(0,), (1,)], [(1,), (0,)], [(0, 1), ()], [(), (1,), (0,)]],
     3: [[(0, 1, 2)], [(0,), (1, 2)], [(0, 2), (1,)], [(), (0, 1, 2)], [(1,), (), (0, 2)]],
+}
+
+# base -> partitions repeating a role set
+REPEATED = {
+    2: [[(), (), (0, 1)], [(0,), (), (), (1,)], [(), (1,), (), (0,)]],
+    3: [[(), (0, 1, 2), ()], [(1,), (), (0, 2), ()]],
 }
 
 
@@ -43,20 +51,31 @@ def formulas(n: int, r: int):
     ]
 
 
+def equal_parts(n: int, r: int):
+    """Tensor, with and bang-tensor of two equal parts, and a unit tensor,
+    at role ``r``."""
+    from lmrl.syntax import Atom, Bang, One, Tensor, With
+
+    a = Atom("a")
+    bang, one = Bang(r, a), One(r)
+    return [Tensor(r, a, a), With(r, a, a), Tensor(r, bang, bang), Tensor(r, one, one)]
+
+
 def entries():
     """(calculus, formula, parts) in file order."""
     from lmrl import roles as rl
     from lmrl.derivation import Calculus
 
     out = []
-    for n, partitions in PARTITIONS.items():
-        base = rl.finite_base(n)
-        for r in range(n):
-            for f in formulas(n, r):
-                for cells in partitions:
-                    parts = [rl.roleset(base, c) for c in cells]
-                    out.append((Calculus.CONJ, f, parts))
-                    out.append((Calculus.DISJ, f, [rl.complement(s) for s in parts]))
+    for family, table in ((formulas, PARTITIONS), (equal_parts, REPEATED)):
+        for n, partitions in table.items():
+            base = rl.finite_base(n)
+            for r in range(n):
+                for f in family(n, r):
+                    for cells in partitions:
+                        parts = [rl.roleset(base, c) for c in cells]
+                        out.append((Calculus.CONJ, f, parts))
+                        out.append((Calculus.DISJ, f, [rl.complement(s) for s in parts]))
     return out
 
 

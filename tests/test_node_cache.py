@@ -19,7 +19,17 @@ from worlds import ATOMS, enumerate_derivations, tall_tower
 from lmrl import cutelim, derivation
 from lmrl import roles as rl
 from lmrl.cutelim import cut1, cut2
-from lmrl.derivation import DId, DOneNeg, DOnePos, DWithPos, Derivation, check, height
+from lmrl.derivation import (
+    DId,
+    DOneNeg,
+    DOnePos,
+    DWithNegL,
+    DWithNegR,
+    DWithPos,
+    Derivation,
+    check,
+    height,
+)
 from lmrl.parser import parse_problem
 from lmrl.syntax import One
 
@@ -241,6 +251,26 @@ def test_commuting_through_a_reordered_with_pos_context():
     assert len(cases) == 72
     for d, q in cases:
         assert_removed(cut2(d, q, DOnePos(rl.complement(one), 0), 0), d, q)
+
+
+def test_principal_with_cut_through_a_reordered_with_pos_context():
+    # a with-neg over a unit of the shared context sits on the with-pos, so
+    # the cut commutes past it and meets the with-pos principal; the branch
+    # it cuts must give the context its own positions
+    cases = 0
+    for d in repeated_context_nodes():
+        for q, f in enumerate(d.concl.items[:-1]):
+            if f.body != One(0):
+                continue
+            top = DWithNegL(0, One(0), d, q)
+            occ = len(top.concl) - 2
+            for rule in (DWithNegL, DWithNegR):
+                neg = rule(0, ATOMS[0], identity(), 1)
+                want = [f.key() for k, f in enumerate(top.concl.items) if k != occ]
+                want += [f.key() for k, f in enumerate(neg.concl.items) if k != 1]
+                assert sorted(f.key() for f in check(cut2(top, occ, neg, 1)).items) == sorted(want)
+                cases += 1
+    assert cases == 288
 
 
 @pytest.mark.parametrize(
