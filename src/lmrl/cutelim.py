@@ -10,10 +10,11 @@ node constructors, tracking occurrences by position.  The generalized cut
 carries the lexicographic measure (cut-formula size, height sum) and asserts
 strict decrease on every recursive call.
 
-Both the principal cut of two positive sides and the prover's backward steps
-read the rule figures that ``derivation`` states as data (each rule's index
-fields, the parts of the major they address, and the side of the role set
-its role lies on) rather than restating them per connective.
+Identity expansion, every principal cut but the atom's and the bang's, and
+the prover's backward steps read the rule figures that ``derivation`` states
+as data (each rule's index fields, the parts of the major they address, and
+the side of the role set its role lies on) rather than restating them per
+connective.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from .derivation import (
     DForallNeg,
     DForallPos,
     DId,
-    DOneNeg,
     DOnePos,
-    DTensorNeg,
     DTensorPos,
     DWithNegL,
     DWithNegR,
@@ -48,6 +47,7 @@ from .derivation import (
     height,
     is_query_shaped,
     major_part,
+    rule_node,
 )
 from .syntax import (
     Atom,
@@ -203,13 +203,6 @@ def eta_expand(a: Formula, parts: list[RoleSet]) -> Derivation:
     return d
 
 
-def _pos_part(parts: list[RoleSet], r: int) -> int:
-    for k, s in enumerate(parts):
-        if r in s:
-            return k
-    raise CutError(f"role {r} missing from every part")
-
-
 def _lift(node: Derivation, pos: list[int], j: int | None = None) -> list[int]:
     """Positions in ``node``'s first premise moved to its conclusion: those
     after an occurrence the rule consumed close up, and part ``j``'s
@@ -221,68 +214,57 @@ def _lift(node: Derivation, pos: list[int], j: int | None = None) -> list[int]:
     return out
 
 
+def _eta_rules(con: type[Formula]):
+    """``con``'s positive rule; the negative rules consuming just the part one
+    of its premises adds, by that part; else the one consuming every part."""
+    rules = [cls for cls in RULES.values() if cls.connective is con]
+    pos = next(cls for cls in rules if _wants_member(cls.rule, Calculus.CONJ))
+    negs = {tuple(c.parts[i] for idx in c._indices for i in idx): c for c in rules if c is not pos}
+    parts = tuple(pos.parts[i] for (i,) in pos._indices)
+    before = {p: negs[(p,)] for p in parts if (p,) in negs}
+    return pos, before, None if before else negs[parts]
+
+
+_ETA = {con: _eta_rules(con) for con in (One, Tensor, With, Bang, Forall)}
+
+
 def _eta(a: Formula, parts: list[RoleSet]) -> tuple[Derivation, list[int]]:
+    """The expansion of ``a`` over ``parts``, and where each part's occurrence
+    lies.  Each premise of the positive rule expands the part it adds.  A
+    negative rule consuming just that part then turns every other part's
+    occurrence into ``a`` there, so that the positive rule's context
+    conditions hold; otherwise the one consuming every part does so below it."""
     n = len(parts)
-    match a:
-        case Atom():
-            return DId(a, tuple(parts)), list(range(n))
-        case One(r):
-            k = _pos_part(parts, r)
-            d: Derivation = DOnePos(parts[k], r)
-            pos = [0] * n
-            for j in range(n):
-                if j != k:
-                    d = DOneNeg(parts[j], r, d)
-                    pos[j] = len(d.concl) - 1
-            return d, pos
-        case Tensor(r, a1, a2):
-            k = _pos_part(parts, r)
-            d1, p1 = _eta(a1, parts)
-            d2, p2 = _eta(a2, parts)
-            d = DTensorPos(r, d1, p1[k], d2, p2[k])
-            n1 = len(d1.concl) - 1
-            left = _lift(d, p1)
-            right = [n1 + p - (p > d.j) for p in p2]
-            # part j's entry in pos is set once its tensor forms
-            pos = [len(d.concl) - 1] * n
-            for j in range(n):
-                if j != k:
-                    d = DTensorNeg(r, d, left[j], right[j])
-                    left, right, pos = _lift(d, left), _lift(d, right), _lift(d, pos, j)
-            return d, pos
-        case With(r, a1, a2):
-            k = _pos_part(parts, r)
-            d1, p1 = _eta(a1, parts)
-            d2, p2 = _eta(a2, parts)
-            for j in range(n):
-                if j != k:
-                    d1 = DWithNegL(r, a2, d1, p1[j])
-                    p1 = _lift(d1, p1, j)
-                    d2 = DWithNegR(r, a1, d2, p2[j])
-                    p2 = _lift(d2, p2, j)
-            d = DWithPos(r, d1, p1[k], d2, p2[k])
-            return d, _lift(d, p1, k)
-        case Bang(r, b):
-            k = _pos_part(parts, r)
-            d, p = _eta(b, parts)
-            for j in range(n):
-                if j != k:
-                    d = DBangNegDerelict(r, d, p[j])
-                    p = _lift(d, p, j)
-            d = DBangPos(r, d, p[k])
-            return d, _lift(d, p, k)
-        case Forall(r, x, b):
-            k = _pos_part(parts, r)
-            z = fresh_name(x)
-            bz = subst_formula(b, x, Var(z))
-            d, p = _eta(bz, parts)
-            for j in range(n):
-                if j != k:
-                    d = DForallNeg(r, x, b, Var(z), d, p[j])
-                    p = _lift(d, p, j)
-            d = DForallPos(r, z, d, p[k])
-            return d, _lift(d, p, k)
-    raise TypeError(a)
+    if isinstance(a, Atom):
+        return DId(a, tuple(parts)), list(range(n))
+    pos_rule, before, after = _ETA[type(a)]
+    k = next((k for k, s in enumerate(parts) if a.r in s), None)
+    if k is None:
+        raise CutError(f"role {a.r} missing from every part")
+    t = Var(fresh_name(a.var)) if isinstance(a, Forall) else None
+
+    def negate(rule, d, ps, pos):
+        # ``ps``: the positions of each part's occurrences, ``pos``: the result's
+        for j in range(n):
+            if j != k:
+                at = {i: ps[rule.parts[i]][j] for i in rule._indices[0]}
+                d = rule_node(rule, IFormula(parts[j], a), [d], at, t)
+                ps = {name: _lift(d, p) for name, p in ps.items()}
+                pos = _lift(d, pos, j)
+        return d, pos
+
+    names = [pos_rule.parts[i] for (i,) in pos_rule._indices]
+    prems = []
+    for name in names:
+        d, p = _eta(major_part(a, name, t), parts)
+        prems.append(negate(before[name], d, {name: p}, p) if name in before else (d, p))
+    at = {i: p[k] for (i,), (_, p) in zip(pos_rule._indices, prems)}
+    d = rule_node(pos_rule, IFormula(parts[k], a), [e for e, _ in prems], at, t)
+    if after is None:
+        return d, _lift(d, prems[0][1], k)
+    m = len(d.concl) - 1  # part k's occurrences became the major
+    ps = {name: [sh.get(q, m) for q in p] for name, sh, (_, p) in zip(names, _concl_maps(d), prems)}
+    return negate(after, d, ps, [m] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +411,6 @@ def _commute(sc: _Side, so: _Side, cutf: Formula, measure):
 def _principal_pair(s1: _Side, s2: _Side, cutf: Formula, measure):
     """Both sides principal.  Past atoms, the side whose role set holds the
     cut formula's role goes first, and the output maps swap back once."""
-    # only atom and one cuts read the spill's roles; the others take theirs from sub-cuts
-    spillset = rl.intersect(s1.rs, s2.rs) if isinstance(cutf, (Atom, One)) else None
     if isinstance(cutf, Atom):
         d1, d2 = s1.d, s2.d
         assert isinstance(d1, DId) and isinstance(d2, DId)
@@ -439,7 +419,7 @@ def _principal_pair(s1: _Side, s2: _Side, cutf: Formula, measure):
         parts = (
             tuple(s for q, s in enumerate(d1.rolesets) if q != k1)
             + tuple(s for q, s in enumerate(d2.rolesets) if q != k2)
-            + (spillset,)
+            + (rl.intersect(s1.rs, s2.rs),)
         )
         e = DId(d1.atom, parts)
         n1 = len(d1.rolesets) - 1
@@ -449,17 +429,14 @@ def _principal_pair(s1: _Side, s2: _Side, cutf: Formula, measure):
 
     swap = cutf.r not in s1.rs
     pos, neg = (s2, s1) if swap else (s1, s2)
+    # a unit states its role set, which no figure supplies: the spill's
+    changes = {"rs": rl.intersect(s1.rs, s2.rs)} if "rs" in pos.d.__match_args__ else {}
     if cutf.r in neg.rs:
-        if isinstance(cutf, One):
-            return DOnePos(spillset, cutf.r), {}, {}, 0
-        return _principal_spill(pos, neg, cutf, measure)
-    if isinstance(cutf, One):
-        assert isinstance(pos.d, DOnePos) and isinstance(neg.d, DOneNeg)
-        prem = neg.d.premise
-        e = DOneNeg(spillset, cutf.r, prem)
-        res = e, {}, {q: q for q in range(len(prem.concl))}, len(e.concl) - 1
+        return _principal_spill(pos, neg, cutf, measure, changes)
+    if isinstance(cutf, Bang):
+        res = _principal_bang(pos, neg, cutf, measure)
     else:
-        res = _PRINCIPAL[type(cutf)](pos, neg, cutf, measure)
+        res = _principal_neg(pos, neg, cutf, measure, changes)
     e, op, on, sp = res
     return (e, on, op, sp) if swap else res
 
@@ -471,72 +448,64 @@ def _premise_side(s: _Side, k: str) -> _Side:
     return _Side(d.right if k == "j" else d.premises[0], frozenset((getattr(d, k),)), s.rs)
 
 
-def _principal_spill(s1: _Side, s2: _Side, cutf: Formula, measure):
+def _cut_part(prem: Derivation, q: int, cutf: Formula, name: str) -> Formula:
+    """The part ``name`` of the cut formula, which premise ``prem`` holds at
+    ``q``: an instance is read off the instantiated premise."""
+    return prem.concl[q].body if name == "instance" else getattr(cutf, name)
+
+
+def _principal_spill(s1: _Side, s2: _Side, cutf: Formula, measure, changes):
     """Both sides positive, so both end in the cut formula's positive rule.
     Premise ``k`` of each side is cut at the occurrence its ``_indices[k]``
     field names, against the part of the cut formula the rule's ``parts``
-    names there, and the rule is applied to the spills.  Both forall-pos
-    premises are first instantiated at one fresh eigenvariable; a with-pos
-    reads its shared context from the left branch."""
+    names there, and the rule is applied to the spills with ``changes``.
+    Both forall-pos premises are first instantiated at one fresh
+    eigenvariable; a with-pos reads its shared context from the left branch."""
     if isinstance(s1.d, DForallPos):
         z = fresh_name(cutf.var)
         s1, s2 = (_Side(_freshen_eigen(s.d, z), s.occs, s.rs) for s in (s1, s2))
     d1, d2 = s1.d, s2.d
     cuts = []
     for (i,) in d1._indices:
-        p1, name = _premise_side(s1, i), d1.parts[i]
-        # an instance is read off the instantiated premise
-        a = p1.d.concl[getattr(d1, i)].body if name == "instance" else getattr(cutf, name)
+        p1 = _premise_side(s1, i)
+        a = _cut_part(p1.d, getattr(d1, i), cutf, d1.parts[i])
         cuts.append(_spill(p1, _premise_side(s2, i), a, measure))
     posmaps = [{getattr(d1, i): c[3]} for (i,), c in zip(d1._indices, cuts)]
-    node = d1.rebuild([c[0] for c in cuts], posmaps)
+    node = d1.rebuild([c[0] for c in cuts], posmaps, **changes)
     shs = _concl_maps(node)
     o1 = {q: shs[k][cuts[k][1][p]] for q, k, p in _context(d1, s1.occs)}
     o2 = {q: shs[k][cuts[k][2][p]] for q, k, p in _context(d2, s2.occs)}
     return node, o1, o2, len(node.concl) - 1
 
 
-def _principal_tensor(pos: _Side, neg: _Side, cutf: Tensor, measure):
-    tp, tn = pos.d, neg.d
-    assert isinstance(tp, DTensorPos) and isinstance(tn, DTensorNeg)
-    e1, oL, oN, sp1 = _spill(_premise_side(pos, "i"), _premise_side(neg, "i"), cutf.left, measure)
-    e2, oR, oE1, sp2 = _spill(
-        _premise_side(pos, "j"), _Side(e1, frozenset((oN[tn.j],)), neg.rs), cutf.right, measure
-    )
-    node = DTensorNeg(cutf.r, e2, oE1[sp1], sp2)
+def _principal_neg(pos: _Side, neg: _Side, cutf: Formula, measure, changes):
+    """One side positive, the other negative.  For each index field of the
+    negative rule, in order, the positive premise whose field names the same
+    part is cut into the negative side at that field's occurrence, and the
+    negative rule is rebuilt over the result with ``changes``.  A forall-pos
+    premise is first instantiated at the witness, and the rebuilt forall-neg
+    keeps the positive side's binder; a with-pos reads its shared context
+    from the branch cut."""
+    dp, dn = pos.d, neg.d
+    prems = list(dp.premises)
+    if isinstance(dp, DForallPos):
+        prems[0] = subst_derivation(dp.premise, dp.eigen, dn.witness)
+        changes = {"var": dp.eigen, "body": dp.premise.concl[dp.i].body}
+    by_part = {dp.parts[i]: (k, getattr(dp, i)) for k, (i,) in enumerate(dp._indices)}
+    # negative premise, positive premise k and spill positions -> current ones
+    maps: dict = {"neg": {p: p for p in range(len(dn.premise.concl))}, "at": {}}
+    cur, k = dn.premise, 0
+    for i in dn._indices[0]:
+        k, q = by_part[dn.parts[i]]
+        side = _Side(cur, frozenset((maps["neg"][getattr(dn, i)],)), neg.rs)
+        a = _cut_part(prems[k], q, cutf, dn.parts[i])
+        cur, ok, oc, sp = _spill(_Side(prems[k], frozenset((q,)), pos.rs), side, a, measure)
+        maps = {m: {p: oc[c] for p, c in mp.items() if c in oc} for m, mp in maps.items()}
+        maps[k], maps["at"][getattr(dn, i)] = ok, sp
+    node = dn.rebuild([cur], [maps["at"]], **changes)
     (sh,) = _concl_maps(node)
-    op = {q: sh[oE1[oL[p]]] if k == 0 else sh[oR[p]] for q, k, p in _context(tp, pos.occs)}
-    on = {q: sh[oE1[oN[p]]] for q, _, p in _context(tn, neg.occs)}
-    return node, op, on, len(node.concl) - 1
-
-
-def _principal_with(pos: _Side, neg: _Side, cutf: With, measure):
-    wp, wn = pos.d, neg.d
-    assert isinstance(wp, DWithPos) and isinstance(wn, (DWithNegL, DWithNegR))
-    take_left, a, b = isinstance(wn, DWithNegL), cutf.left, cutf.right
-    side = _premise_side(pos, "i" if take_left else "j")
-    e, opb, onp, spp = _spill(side, _premise_side(neg, "i"), a if take_left else b, measure)
-    node = DWithNegL(cutf.r, b, e, spp) if take_left else DWithNegR(cutf.r, a, e, spp)
-    (sh,) = _concl_maps(node)
-    op = {q: sh[opb[p]] for q, _, p in _context(wp, pos.occs, 0 if take_left else 1)}
-    on = {q: sh[onp[p]] for q, _, p in _context(wn, neg.occs)}
-    return node, op, on, len(node.concl) - 1
-
-
-def _principal_forall(pos: _Side, neg: _Side, cutf: Forall, measure):
-    fp, fn = pos.d, neg.d
-    assert isinstance(fp, DForallPos) and isinstance(fn, DForallNeg)
-    t = fn.witness
-    pprem = subst_derivation(fp.premise, fp.eigen, t)
-    bstar = pprem.concl[fp.i].body
-    e, opp, onp, spx = _spill(
-        _Side(pprem, frozenset((fp.i,)), pos.rs), _premise_side(neg, "i"), bstar, measure
-    )
-    body = fp.premise.concl[fp.i].body
-    node = DForallNeg(cutf.r, fp.eigen, body, t, e, spx)
-    (sh,) = _concl_maps(node)
-    op = {q: sh[opp[p]] for q, _, p in _context(fp, pos.occs)}
-    on = {q: sh[onp[p]] for q, _, p in _context(fn, neg.occs)}
+    op = {q: sh[maps[m][p]] for q, m, p in _context(dp, pos.occs, k)}
+    on = {q: sh[maps["neg"][p]] for q, _, p in _context(dn, neg.occs)}
     return node, op, on, len(node.concl) - 1
 
 
@@ -573,15 +542,6 @@ def _principal_bang(pos: _Side, neg: _Side, cutf: Bang, measure):
         on = {q: tr[sh3[o2e1[c]]] for q, c in on.items()}
         sp = tr[c_old]
     return e, op, on, sp
-
-
-# one positive and one negative side, by the cut formula's connective
-_PRINCIPAL = {
-    Tensor: _principal_tensor,
-    With: _principal_with,
-    Forall: _principal_forall,
-    Bang: _principal_bang,
-}
 
 
 # ---------------------------------------------------------------------------

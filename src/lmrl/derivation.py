@@ -429,31 +429,38 @@ def build_rule(
 ) -> Derivation:
     """The ``rule`` node concluding ``major`` from ``premises``.
 
-    Checks the major's connective, takes the rule's own fields from the
-    major, and finds each occurrence the rule consumes in its premise's
-    conclusion by value, at the first unused position (one ``used`` set per
-    premise).  A forall rule also needs its ``witness`` or ``eigen``.
-    Raises MalformedDerivation on a wrong major and MissingOccurrence when a
+    Checks the major's connective and finds each occurrence the rule
+    consumes in its premise's conclusion by value, at the first unused
+    position (one ``used`` set per premise); ``rule_node`` builds the node.
+    A forall rule also needs its ``witness`` or ``eigen``.  Raises
+    MalformedDerivation on a wrong major and MissingOccurrence when a
     premise lacks an occurrence.
     """
     cls = RULES[rule]
-    body = major.body
-    fields = {"rs": major.roles, "witness": witness, "eigen": eigen}
     term = next((f for f in ("witness", "eigen") if f in cls.__match_args__), None)
-    wrong = cls.connective is not None and not isinstance(body, cls.connective)
-    if term is not None and (wrong or fields[term] is None):
+    wrong = cls.connective is not None and not isinstance(major.body, cls.connective)
+    if term is not None and (wrong or {"witness": witness, "eigen": eigen}[term] is None):
         raise MalformedDerivation(f"needs a quantified major and :{term}")
     if wrong:
         raise MalformedDerivation(f"major is not {_SHAPES[cls.connective]}")
     t = Var(eigen) if term == "eigen" else witness
-    for k, (field, indices) in enumerate(cls.schema.items()):
-        fields[field] = premises[k]
+    at = {}
+    for k, indices in enumerate(cls._indices):
         used: set[int] = set()
         for i in indices:
-            want = IFormula(major.roles, major_part(body, cls.parts[i], t))
-            fields[i] = find_occurrence(premises[k].concl, want, used)
+            want = IFormula(major.roles, major_part(major.body, cls.parts[i], t))
+            at[i] = find_occurrence(premises[k].concl, want, used)
+    return rule_node(cls, major, premises, at, t)
+
+
+def rule_node(cls, major: IFormula, premises, at: dict[str, int], term=None) -> Derivation:
+    """The ``cls`` node concluding ``major`` from ``premises``, consuming the
+    occurrences at the positions ``at`` gives per index field; ``term`` is a
+    forall rule's witness, or its eigenvariable as a ``Var``."""
+    fields = dict(zip(cls.schema, premises), rs=major.roles, witness=term, **at)
+    fields["eigen"] = getattr(term, "name", None)
     args = [
-        fields[f] if f in fields else major_part(body, cls.parts.get(f, f), t)
+        fields[f] if f in fields else major_part(major.body, cls.parts.get(f, f), term)
         for f in cls.__match_args__
     ]
     return cls(*args)
