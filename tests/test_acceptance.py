@@ -29,15 +29,12 @@ from lmrl.cutelim import (
     eta_expand,
     eta_expand_disj,
     prove_bounded,
-    split,
 )
 from lmrl.derivation import Calculus, check, checks, dualize
 from lmrl.parser import parse_problem
 from lmrl.processes import (
     ProcessTypeError,
     check_subject_reduction,
-    has_cut,
-    normalize,
     step_detailed,
     struct_equiv,
     typecheck,

@@ -53,7 +53,6 @@ from lmrl.syntax import (
     Tensor,
     Var,
     With,
-    sequent,
 )
 
 B2 = rl.finite_base(2)

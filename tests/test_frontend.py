@@ -15,7 +15,6 @@ from lmrl.parser import (
     parse_formula_text,
     parse_problem,
     parse_process,
-    parse_derivation,
     tokenize,
 )
 from lmrl.printer import (

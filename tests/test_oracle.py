@@ -14,7 +14,6 @@ from lmrl.syntax import (
     Tensor,
     Var,
     With,
-    sequent,
 )
 
 B2 = rl.finite_base(2)

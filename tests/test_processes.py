@@ -28,7 +28,6 @@ from lmrl.processes import (
     SelL,
     SelR,
     ServerAccept,
-    TypingDerivation,
     alpha_equiv,
     canonical_key,
     check_subject_reduction,
@@ -39,7 +38,6 @@ from lmrl.processes import (
     is_principal_cut,
     normalize,
     rename_free,
-    step,
     step_detailed,
     strip_cut_annotations,
     struct_equiv,
