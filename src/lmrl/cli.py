@@ -35,13 +35,12 @@ from .cutelim import (
 )
 from .derivation import Calculus, MalformedDerivation, RuleViolation, check, dualize
 from .parser import (
-    Cursor,
     DerivationFormError,
     ParseError,
     parse_problem,
     parse_formula_text,
     parse_roleset_text,
-    tokenize,
+    parse_terms_text,
 )
 from .printer import (
     format_derivation,
@@ -126,13 +125,7 @@ def cmd_prove(ns, out: Out) -> int:
     pf = _load(ns.file, "sequent")
     pool = None
     if ns.witnesses:
-        from .parser import parse_term
-
-        c = Cursor(tokenize(ns.witnesses))
-        pool = [parse_term(c)]
-        while c.at(","):
-            c.eat(",")
-            pool.append(parse_term(c))
+        pool = parse_terms_text(ns.witnesses)
     d = prove_bounded(pf.sequent, _calc(ns), ns.depth, pool)
     if d is None:
         out.kv("status", "unproved")

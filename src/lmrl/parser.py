@@ -123,6 +123,15 @@ def _adjacent(prev: Token, nxt: Token) -> bool:
     return nxt.line == prev.line and nxt.col == prev.col + len(prev.text)
 
 
+def _items(c: Cursor, item, sep: str = ",") -> list:
+    """One ``item(c)`` or more, separated by ``sep``."""
+    out = [item(c)]
+    while c.at(sep):
+        c.eat(sep)
+        out.append(item(c))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # role sets
 
@@ -133,12 +142,7 @@ def parse_roleset(c: Cursor, base: RoleBase) -> RoleSet:
         inner = parse_roleset(c, base)
         return rl.complement(inner)
     c.eat("{")
-    roles = []
-    if not c.at("}"):
-        roles.append(_num(c))
-        while c.at(","):
-            c.eat(",")
-            roles.append(_num(c))
+    roles = [] if c.at("}") else _items(c, _num)
     tok = c.eat("}")
     try:
         return rl.roleset(base, roles)
@@ -152,16 +156,19 @@ def parse_roleset(c: Cursor, base: RoleBase) -> RoleSet:
 
 def parse_term(c: Cursor) -> Term:
     tok = c.eat_kind("ident", "a term")
-    # argument lists attach by juxtaposition: "f(x)" applies, "f (x)" does not
-    if c.at("(") and _adjacent(tok, c.peek()):
-        c.eat("(")
-        args = [parse_term(c)]
-        while c.at(","):
-            c.eat(",")
-            args.append(parse_term(c))
-        c.eat(")")
-        return Fun(tok.text, tuple(args))
-    return Var(tok.text)
+    args = _arguments(c, tok)
+    return Var(tok.text) if args is None else Fun(tok.text, args)
+
+
+def _arguments(c: Cursor, head: Token) -> tuple[Term, ...] | None:
+    """The argument list of ``head``, if any.  Argument lists attach by
+    juxtaposition: "f(x)" applies, "f (x)" does not."""
+    if not (c.at("(") and _adjacent(head, c.peek())):
+        return None
+    c.eat("(")
+    args = tuple(_items(c, parse_term))
+    c.eat(")")
+    return args
 
 
 def _role_index(c: Cursor, base: RoleBase) -> int:
@@ -221,16 +228,7 @@ def _parse_prefix(c: Cursor, base: RoleBase) -> Formula:
         return Forall(r, var, parse_formula(c, base))
     if t.kind == "ident":
         tok = c.next()
-        args: tuple[Term, ...] = ()
-        if c.at("(") and _adjacent(tok, c.peek()):
-            c.eat("(")
-            lst = [parse_term(c)]
-            while c.at(","):
-                c.eat(",")
-                lst.append(parse_term(c))
-            c.eat(")")
-            args = tuple(lst)
-        return Atom(tok.text, args)
+        return Atom(tok.text, _arguments(c, tok) or ())
     raise ParseError(f"expected a formula, found {t.text!r}", t.line, t.col)
 
 
@@ -243,12 +241,7 @@ def parse_iformula(c: Cursor, base: RoleBase) -> IFormula:
 
 def parse_sequent(c: Cursor, base: RoleBase) -> Sequent:
     c.eat("|-")
-    items = []
-    if c.at("["):
-        items.append(parse_iformula(c, base))
-        while c.at(","):
-            c.eat(",")
-            items.append(parse_iformula(c, base))
+    items = _items(c, lambda c: parse_iformula(c, base)) if c.at("[") else []
     return Sequent(tuple(items))
 
 
@@ -341,10 +334,7 @@ def parse_process(c: Cursor, base: RoleBase) -> Process:
             ann = parse_formula(c, base)
         c.eat(".")
         c.eat("(")
-        parts = [parse_process(c, base)]
-        while c.at("|"):
-            c.eat("|")
-            parts.append(parse_process(c, base))
+        parts = _items(c, lambda c: parse_process(c, base), "|")
         c.eat(")")
         return Cut(x, ann, tuple(parts))
 
@@ -432,10 +422,7 @@ def parse_problem(text: str) -> ProblemFile:
     env: list[tuple[str, IFormula]] = []
     if t.kind == "ident" and t.text == "env":
         c.next()
-        env.append(_parse_assoc(c, base))
-        while c.at(","):
-            c.eat(",")
-            env.append(_parse_assoc(c, base))
+        env = _items(c, lambda c: _parse_assoc(c, base))
         t = c.peek()
     if t.kind == "ident" and t.text == "proc":
         c.next()
@@ -471,3 +458,11 @@ def parse_roleset_text(text: str, base: RoleBase) -> RoleSet:
     s = parse_roleset(c, base)
     _expect_eof(c)
     return s
+
+
+def parse_terms_text(text: str) -> list[Term]:
+    """A comma-separated list of terms, and nothing after it."""
+    c = Cursor(tokenize(text))
+    terms = _items(c, parse_term)
+    _expect_eof(c)
+    return terms

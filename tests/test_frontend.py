@@ -393,6 +393,16 @@ def test_cli_prove_with_witness_pool(capsys, tmp_path):
     assert code == 0 and "proved" in out
 
 
+def test_cli_prove_rejects_trailing_witness_input(capsys):
+    goal = os.path.join(LOGIC, "tensor-goal.seq")
+    for text, rest in (("c )", ")"), ("c d", "d"), ("c, f(x) g", "g")):
+        code, out = run(capsys, "prove", goal, "--depth", "3", "--witnesses", text)
+        assert code == 2 and out.startswith(f"error: 1:{text.index(rest) + 1}: trailing input")
+        assert f"trailing input {rest!r}" in out
+    code, out = run(capsys, "prove", goal, "--depth", "3", "--witnesses", "c, f(x)")
+    assert code == 0 and "proved" in out
+
+
 def test_cli_internal_error_exit_3(capsys, tmp_path):
     # deeper than the Python stack allows: reported, not a traceback
     p = tmp_path / "deep.pi"
