@@ -90,7 +90,7 @@ class Derivation:
     differently.  A part is an attribute of the major's formula, ``major``
     for the formula itself, or ``instance`` for a quantifier body
     instantiated with the rule's witness or eigenvariable.  ``_compute``
-    builds every conclusion from the figure, and ``build_rule`` every node.
+    builds every conclusion from the figure, and ``rule_node`` every node.
     """
 
     rule: str = "?"
