@@ -123,13 +123,13 @@ def _adjacent(prev: Token, nxt: Token) -> bool:
     return nxt.line == prev.line and nxt.col == prev.col + len(prev.text)
 
 
-def _items(c: Cursor, item, sep: str = ",") -> list:
-    """One ``item(c)`` or more, separated by ``sep``."""
-    out = [item(c)]
+def _items(c: Cursor, sep: str = ","):
+    """Yields once per item of a ``sep``-separated list, for the caller to
+    read the item; so an item holding a nested list costs no frame here."""
+    yield
     while c.at(sep):
         c.eat(sep)
-        out.append(item(c))
-    return out
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def parse_roleset(c: Cursor, base: RoleBase) -> RoleSet:
         inner = parse_roleset(c, base)
         return rl.complement(inner)
     c.eat("{")
-    roles = [] if c.at("}") else _items(c, _num)
+    roles = [] if c.at("}") else [_num(c) for _ in _items(c)]
     tok = c.eat("}")
     try:
         return rl.roleset(base, roles)
@@ -156,19 +156,15 @@ def parse_roleset(c: Cursor, base: RoleBase) -> RoleSet:
 
 def parse_term(c: Cursor) -> Term:
     tok = c.eat_kind("ident", "a term")
-    args = _arguments(c, tok)
-    return Var(tok.text) if args is None else Fun(tok.text, args)
-
-
-def _arguments(c: Cursor, head: Token) -> tuple[Term, ...] | None:
-    """The argument list of ``head``, if any.  Argument lists attach by
-    juxtaposition: "f(x)" applies, "f (x)" does not."""
-    if not (c.at("(") and _adjacent(head, c.peek())):
-        return None
+    # argument lists attach by juxtaposition: "f(x)" applies, "f (x)" does not
+    if not (c.at("(") and _adjacent(tok, c.peek())):
+        return Var(tok.text)
     c.eat("(")
-    args = tuple(_items(c, parse_term))
+    args = []
+    for _ in _items(c):  # a loop: one frame per nesting level
+        args.append(parse_term(c))
     c.eat(")")
-    return args
+    return Fun(tok.text, tuple(args))
 
 
 def _role_index(c: Cursor, base: RoleBase) -> int:
@@ -227,8 +223,9 @@ def _parse_prefix(c: Cursor, base: RoleBase) -> Formula:
         c.eat(".")
         return Forall(r, var, parse_formula(c, base))
     if t.kind == "ident":
-        tok = c.next()
-        return Atom(tok.text, _arguments(c, tok) or ())
+        # an atom reads as a term does: a name and its juxtaposed arguments
+        head = parse_term(c)
+        return Atom(head.symbol, head.args) if isinstance(head, Fun) else Atom(head.name)
     raise ParseError(f"expected a formula, found {t.text!r}", t.line, t.col)
 
 
@@ -241,7 +238,7 @@ def parse_iformula(c: Cursor, base: RoleBase) -> IFormula:
 
 def parse_sequent(c: Cursor, base: RoleBase) -> Sequent:
     c.eat("|-")
-    items = _items(c, lambda c: parse_iformula(c, base)) if c.at("[") else []
+    items = [parse_iformula(c, base) for _ in _items(c)] if c.at("[") else []
     return Sequent(tuple(items))
 
 
@@ -334,7 +331,9 @@ def parse_process(c: Cursor, base: RoleBase) -> Process:
             ann = parse_formula(c, base)
         c.eat(".")
         c.eat("(")
-        parts = _items(c, lambda c: parse_process(c, base), "|")
+        parts = []
+        for _ in _items(c, "|"):  # a loop: one frame per nesting level
+            parts.append(parse_process(c, base))
         c.eat(")")
         return Cut(x, ann, tuple(parts))
 
@@ -422,7 +421,7 @@ def parse_problem(text: str) -> ProblemFile:
     env: list[tuple[str, IFormula]] = []
     if t.kind == "ident" and t.text == "env":
         c.next()
-        env = _items(c, lambda c: _parse_assoc(c, base))
+        env = [_parse_assoc(c, base) for _ in _items(c)]
         t = c.peek()
     if t.kind == "ident" and t.text == "proc":
         c.next()
@@ -463,6 +462,6 @@ def parse_roleset_text(text: str, base: RoleBase) -> RoleSet:
 def parse_terms_text(text: str) -> list[Term]:
     """A comma-separated list of terms, and nothing after it."""
     c = Cursor(tokenize(text))
-    terms = _items(c, parse_term)
+    terms = [parse_term(c) for _ in _items(c)]
     _expect_eof(c)
     return terms

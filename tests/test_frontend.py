@@ -23,7 +23,8 @@ from lmrl.printer import (
     format_process,
     format_sequent,
 )
-from lmrl.processes import alpha_equiv
+from lmrl.processes import Cut, alpha_equiv
+from lmrl.syntax import Var
 from worlds import deep_session
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -218,6 +219,19 @@ def test_comments_and_whitespace():
 def test_omega_base():
     pf = parse_problem("base omega\n|- [~{0}] a, [{0}] a")
     assert pf.sequent[0].roles.cofinite
+
+
+def test_nested_lists_cost_one_frame_per_level():
+    # argument lists and cut parts 600 deep parse at the default recursion
+    # limit, which two frames per level would exceed
+    n = 600
+    assert sys.getrecursionlimit() < 2 * n
+    t = parse_formula_text("p(" * n + "x" + ")" * n, rl.finite_base(2))
+    for _ in range(n):
+        (t,) = t.args
+    assert t == Var("x")
+    proc = "new x.(" * n + " x{0}()@0.end" + " | x{1}()@0.end )" * n
+    assert isinstance(parse_process(Cursor(tokenize(proc)), rl.finite_base(2)), Cut)
 
 
 # ---------------------------------------------------------------------------
