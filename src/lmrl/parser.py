@@ -85,8 +85,8 @@ class Cursor:
         self.toks = tokens
         self.k = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.k + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.k]  # next() never moves past the eof token
 
     def next(self) -> Token:
         t = self.toks[self.k]
@@ -95,7 +95,8 @@ class Cursor:
         return t
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("punct", "turnstile", "ident")
+        t = self.toks[self.k]
+        return t.text == text and t.kind in ("punct", "turnstile", "ident")
 
     def eat(self, text: str) -> Token:
         t = self.peek()
