@@ -94,7 +94,10 @@ class Process:
     of the environment plus, for each index field addressing premise k in
     the rule's ``schema``, that field's part of the channel's type (its
     ``parts`` entry).  The bound name carries field ``i`` and the channel
-    every other field; a transfer's channel carries ``Msg.body``.
+    every other field; a transfer's channel carries ``Msg.body``.  Reduction
+    reads the figure too: ``_adds`` maps each (carried by the bound name,
+    part) pair a single premise adds to that premise's continuation, and a
+    principal step takes its name from its negative header's ``step``.
     """
 
     __slots__ = ()
@@ -102,13 +105,16 @@ class Process:
     binder: str | None = None
     scope: tuple[str, ...] = ()
     commute: str | tuple[str, ...] | None = None
+    _connective: type[Formula] | None = None
+    step: str | None = None
     rule: str | None = None
     what: str = ""
 
     def __init_subclass__(cls, **kw):
         super().__init_subclass__(**kw)
         # fixed once per class: the connective, per role whether it is in the
-        # role set, and per premise the (carried by the bound name, part) pairs
+        # role set, per premise the (carried by the bound name, part) pairs,
+        # and the continuation of each premise that adds a single pair
         if "rule" in cls.__dict__:
             kernel = RULES.get(cls.rule)
             if kernel is None:
@@ -121,6 +127,7 @@ class Process:
                     tuple((i == "i" and cls.binder is not None, kernel.parts[i]) for i in idx)
                     for idx in kernel._indices
                 )
+            cls._adds = {a[0]: cls.kids[k] for k, a in enumerate(cls._figure) if len(a) == 1}
 
 
 @dataclass(frozen=True)
@@ -147,17 +154,17 @@ class _Prefix(Process):  # x{R}...@r.P
 
 
 class OutEmpty(_Prefix):  # x{R}[]@r.P
-    commute = "commute-oute"
+    commute, step = "commute-oute", "one"
     rule, what = "one-neg", "empty output"
 
 
 class SelL(_Prefix):  # x{R}[inl]@r.P
-    commute = "commute-sel"
+    commute, step = "commute-sel", "with-l"
     rule, what = "with-neg-l", "selection"
 
 
 class SelR(_Prefix):  # x{R}[inr]@r.P
-    commute = "commute-sel"
+    commute, step = "commute-sel", "with-r"
     rule, what = "with-neg-r", "selection"
 
 
@@ -174,7 +181,7 @@ class _NamePrefix(Process):  # x{R}[y]@r.P , binds y in body
 
 
 class OutName(_NamePrefix):  # x{R}[y]@r.P
-    commute = "commute-out"
+    commute, step = "commute-out", "tensor"
     rule, what = "tensor-neg", "name output"
 
 
@@ -184,7 +191,7 @@ class ServerAccept(_NamePrefix):  # !x{R}(y)@r.P
 
 
 class ClientRequest(_NamePrefix):  # ?x{R}[y]@r.P
-    commute = "commute-req"
+    commute, step = "commute-req", "bang-spawn"
     rule, what = "bang-neg-derelict", "client request"
 
 
@@ -240,7 +247,7 @@ class MsgSkipIn(_Transfer):  # x{R}(skip)@{r,s}.P
 
 
 class MsgSkipOut(_Transfer):  # x{R}[skip]@{r,s}.P
-    rule = "msg-neg-neg"
+    rule, step = "msg-neg-neg", "msg-skip"
 
 
 class MsgRecv(_Transfer):  # x{R}(recv)@{r,s}.P
@@ -248,7 +255,7 @@ class MsgRecv(_Transfer):  # x{R}(recv)@{r,s}.P
 
 
 class MsgSend(_Transfer):  # x{R}[send]@{r,s}.P
-    rule = "msg-neg-pos"
+    rule, step = "msg-neg-pos", "msg-transfer"
 
 
 def _children(p: Process) -> list[Process]:
@@ -816,40 +823,19 @@ def step_detailed(p: Process) -> StepResult | None:
     return None
 
 
-def _subject(p: Process) -> str | None:
-    return None if isinstance(p, Cut) else p.x
-
-
-def _ann_parts(ann: Formula | None, shape) -> tuple:
-    if isinstance(ann, shape):
-        if shape is Tensor or shape is With:
-            return ann.left, ann.right
-        return (ann.body,)
-    return (None, None) if shape in (Tensor, With) else (None,)
-
-
 def _reduce_cut(cut: Cut) -> StepResult | None:
     x, ann, parts = cut.x, cut.ann, cut.parts
-    on_x = [q for q in parts if _subject(q) == x]
+    r = _principal(cut)
+    if r is not None:
+        return r
 
-    if len(on_x) == len(parts):
-        r = _principal(cut)
-        if r is not None:
-            return r
-
+    # a server bundle against a part that drops x or a request that reuses it
     servers = [q for q in parts if isinstance(q, ServerAccept) and q.x == x]
     if len(servers) == len(parts) - 1:
         (exc,) = [q for q in parts if not (isinstance(q, ServerAccept) and q.x == x)]
         if x not in free_names(exc):
             return StepResult(exc, "bang-gc")
         if isinstance(exc, ClientRequest) and exc.x == x:
-            body_ann = _ann_parts(ann, Bang)[0]
-            if x not in free_names(exc.body):
-                y2 = fresh_name(exc.y)
-                new_parts = [rename_free(exc.body, exc.y, y2)] + [
-                    rename_free(s.body, s.y, y2) for s in servers
-                ]
-                return StepResult(Cut(y2, body_ann, tuple(new_parts)), "bang-spawn")
             x2 = fresh_name(x)
             head = ClientRequest(x2, exc.rs, exc.y, exc.r, exc.body)
             copies = [rename_free(s, x, x2) for s in servers]
@@ -858,8 +844,7 @@ def _reduce_cut(cut: Cut) -> StepResult | None:
 
     # commuting conversions: push the cut under an unrelated header
     for k, q in enumerate(parts):
-        subj = _subject(q)
-        if subj is None or subj == x:
+        if isinstance(q, Cut) or q.x == x:
             continue
         rest = parts[:k] + parts[k + 1 :]
         conv = _convert(cut, q, rest)
@@ -869,53 +854,47 @@ def _reduce_cut(cut: Cut) -> StepResult | None:
 
 
 def _principal(cut: Cut) -> StepResult | None:
-    x, ann, parts = cut.x, cut.ann, cut.parts
+    """The step of a cut whose parts are all headers on its name, read from
+    their rule figures: it fires when they share a connective and each side
+    of the roles is negative in exactly one part; the lead, negative on the
+    first side, names it.  For each (bound, part) pair the lead's premise
+    adds, in order, the term so far is cut against the others' premises
+    adding that pair, on the lead's fresh bound name or on x.  The lead goes
+    first, but transfers keep their part order; ``alt`` nests in reverse."""
+    x, parts, con = cut.x, cut.parts, cut.parts[0]._connective
+    if con is None:  # a cut
+        return None
+    heads = [q._sides for q in parts if q._connective is con and q.x == x]
+    sides = [*zip(*heads)]  # per side: is each part positive
+    if len(heads) < len(parts) or any(side.count(False) != 1 for side in sides):
+        return None
+    k = sides[0].index(False)
+    lead = parts[k]
+    (adds,) = lead._figure
+    if not adds:  # a unit output hands over nothing
+        return StepResult(lead.body, lead.step)
+    others, body, y = parts[:k] + parts[k + 1 :], lead.body, _bound(lead)
+    if y is not None:
+        if all(bound for bound, _ in adds) and x in free_names(body):
+            return None  # a request that uses x again: the caller replicates
+        y2 = fresh_name(y)
+        body = rename_free(body, y, y2)
+    ann = cut.ann if isinstance(cut.ann, con) else None
+    cuts = []
+    for bound, part in adds:
+        conts = [getattr(q, q._adds[bound, part]) for q in others]
+        if bound:
+            conts = [rename_free(c, _bound(q), y2) for c, q in zip(conts, others)]
+        cuts.append((y2 if bound else x, ann and getattr(ann, part), conts))
+    at = k if con is Msg else 0
 
-    outs = [q for q in parts if isinstance(q, OutEmpty)]
-    ins = [q for q in parts if isinstance(q, InEmpty)]
-    if len(outs) == 1 and len(ins) == len(parts) - 1:
-        return StepResult(outs[0].body, "one")
+    def nest(cuts):
+        p = body
+        for z, a, conts in cuts:
+            p = Cut(z, a, (*conts[:at], p, *conts[at:]))
+        return p
 
-    nouts = [q for q in parts if isinstance(q, OutName)]
-    nins = [q for q in parts if isinstance(q, InName)]
-    if len(nouts) == 1 and len(nins) == len(parts) - 1:
-        out = nouts[0]
-        a1, a2 = _ann_parts(ann, Tensor)
-        y2 = fresh_name(out.y)
-        p10 = rename_free(out.body, out.y, y2)
-        lefts = [rename_free(q.left, q.y, y2) for q in nins]
-        rights = [q.right for q in nins]
-        q1 = Cut(x, a2, (Cut(y2, a1, (p10,) + tuple(lefts)),) + tuple(rights))
-        q2 = Cut(y2, a1, (Cut(x, a2, (p10,) + tuple(rights)),) + tuple(lefts))
-        return StepResult(q1, "tensor", alt=q2)
-
-    sels = [q for q in parts if isinstance(q, (SelL, SelR))]
-    cases = [q for q in parts if isinstance(q, Case)]
-    if len(sels) == 1 and len(cases) == len(parts) - 1:
-        sel = sels[0]
-        a1, a2 = _ann_parts(ann, With)
-        left = isinstance(sel, SelL)
-        branches = [q.left if left else q.right for q in cases]
-        return StepResult(
-            Cut(x, a1 if left else a2, (sel.body,) + tuple(branches)),
-            "with-l" if left else "with-r",
-        )
-
-    skips_in = [q for q in parts if isinstance(q, MsgSkipIn)]
-    skips_out = [q for q in parts if isinstance(q, MsgSkipOut)]
-    sends = [q for q in parts if isinstance(q, MsgSend)]
-    recvs = [q for q in parts if isinstance(q, MsgRecv)]
-    body_ann = _ann_parts(ann, Msg)[0]
-    if len(skips_out) == 1 and len(skips_in) == len(parts) - 1:
-        bodies = tuple(q.body for q in parts)
-        return StepResult(Cut(x, body_ann, bodies), "msg-skip")
-    if len(sends) == 1 and len(recvs) == 1 and len(skips_in) == len(parts) - 2:
-        bodies = tuple(q.body for q in parts)
-        return StepResult(Cut(x, body_ann, bodies), "msg-transfer")
-
-    # server bundles are handled by the caller (the exception part may be
-    # anything); every other all-on-x mixture is stuck
-    return None
+    return StepResult(nest(cuts), lead.step, nest(cuts[::-1]) if len(cuts) > 1 else None)
 
 
 def _convert(cut: Cut, q: Process, rest: tuple[Process, ...]) -> StepResult | None:
