@@ -952,14 +952,20 @@ def has_cut(p: Process) -> bool:
 
 
 def is_principal_cut(p: Process, td: TypingDerivation) -> bool:
-    """True iff every part's last typing rule introduces the linked name."""
+    """True iff every part's last typing rule introduces the linked name, past
+    the weakenings and contractions of other names."""
     if not isinstance(p, Cut):
         raise ValueError("not a cut")
-    while td.rule == "bang-neg-weaken":
-        td = td.premises[0]
-    # a part's rule is its header's own rule unless it weakens or contracts
+
+    def past_others(td):
+        while td.rule in ("bang-neg-weaken", "bang-neg-contract") and td.subject != p.x:
+            td = td.premises[0]
+        return td
+
+    # a part's rule is its header's own rule unless it weakens or contracts x
+    td = past_others(td)
     return td.rule == "n-cut" and all(
-        sub.rule == sub.process.rule and sub.subject == td.subject for sub in td.premises
+        sub.rule == sub.process.rule and sub.subject == p.x for sub in map(past_others, td.premises)
     )
 
 

@@ -45,6 +45,7 @@ from lmrl.processes import (
     typecheck,
 )
 from lmrl.syntax import Bang, IFormula, One, Tensor, With, fresh_name
+from test_typing_golden import entries as typing_entries
 from worlds import deep_session
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus", "proc")
@@ -604,6 +605,42 @@ def test_is_principal_cut():
     td3 = typecheck(gc, env3)
     # the weakening part introduces the link invisibly: not principal
     assert not is_principal_cut(gc, td3)
+
+
+def test_is_principal_cut_past_a_contraction_of_another_name():
+    # both parts use w, so typing contracts it before it reaches the headers
+    p, env = load("select-left")
+    assert processes._reduce_cut(p).rule == "with-l"
+    assert is_principal_cut(p, typecheck(p, env))
+
+
+PRINCIPAL_STEPS = {"one", "tensor", "with-l", "with-r", "msg-skip", "msg-transfer", "bang-spawn"}
+
+
+def test_principal_steps_are_the_principal_cuts():
+    """At every cut state of the well-typed corpus, seeded-session and
+    hand-written reductions, the cut's own step is a principal one exactly
+    when its typing says the cut is principal."""
+    mismatches, seen = [], 0
+    for name, text in typing_entries():
+        pf = parse_problem(text)
+        q, env = pf.process, dict(pf.env)
+        try:
+            typecheck(q, env)
+        except ProcessTypeError:
+            continue
+        for k in range(200):
+            if isinstance(q, Cut):
+                seen += 1
+                r = processes._reduce_cut(q)
+                fires = r is not None and r.rule in PRINCIPAL_STEPS
+                if fires != is_principal_cut(q, typecheck(q, env)):
+                    mismatches.append((name, k, r and r.rule))
+            r = step_detailed(q)
+            if r is None:
+                break
+            q = r.process
+    assert seen > 100 and mismatches == []
 
 
 def test_fresh_names_are_disjoint_from_user_names():
