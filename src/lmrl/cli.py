@@ -95,6 +95,14 @@ class UsageError(Exception):
     pass
 
 
+def positive_int(text: str) -> int:
+    """A count of at least one: a fuel, a depth or a number of steps."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return n
+
+
 def _occ_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(s) for s in text.split(",") if s != "")
@@ -275,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("prove", cmd_prove, help="bounded proof search on a sequent")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=positive_int, required=True)
     p.add_argument("--calc", choices=["conj", "disj"], default="conj")
     p.add_argument("--witnesses", help="comma-separated extra witness terms")
 
@@ -321,16 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("step", cmd_step, help="single-step a process")
     p.add_argument("file")
-    p.add_argument("-n", dest="count", type=int, default=1)
+    p.add_argument("-n", dest="count", type=positive_int, default=1)
 
     p = add("run", cmd_run, help="normalize a process")
     p.add_argument("file")
-    p.add_argument("--fuel", type=int, required=True)
+    p.add_argument("--fuel", type=positive_int, required=True)
     p.add_argument("--trace", action="store_true")
 
     p = add("sr-check", cmd_sr_check, help="re-typecheck along the whole reduction")
     p.add_argument("file")
-    p.add_argument("--fuel", type=int, required=True)
+    p.add_argument("--fuel", type=positive_int, required=True)
 
     return ap
 

@@ -986,6 +986,8 @@ def check_subject_reduction(p: Process, env: TypeEnv, fuel: int) -> SRReport:
     One memo spans the run, so a step types only the nodes it built: the
     rest of the term is shared with the term before and typed already.
     """
+    if fuel <= 0:
+        raise ValueError("fuel must be positive")
     items, base = _judgment(p, env)
     memo: dict = {}
     _tc(p, items, base, (), memo)

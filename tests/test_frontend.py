@@ -318,6 +318,24 @@ def test_cli_typecheck_run_sr(capsys):
     assert code == 0 and "status: ok" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "sr-check proc/unit2.pi --fuel 0",
+        "run proc/unit2.pi --fuel 0",
+        "run proc/unit2.pi --fuel -3",
+        "prove logic/id3.seq --depth 0",
+        "step proc/unit2.pi -n -1",
+        "step proc/unit2.pi -n 0",
+    ],
+)
+def test_cli_counts_must_be_positive(argv, capsys):
+    cmd, path, *rest = argv.split()
+    assert main([cmd, os.path.join(LOGIC, "..", path), *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be a positive integer" in captured.err
+
+
 def test_cli_json_follows_the_subcommand(capsys):
     unit3 = os.path.join(PROC, "unit3.pi")
     code, out = run(capsys, "run", unit3, "--fuel", "10", "--json")

@@ -588,6 +588,13 @@ def test_subject_reduction_types_only_what_each_step_built():
     assert max(calls for _, _, calls in roots[1:]) <= 8
 
 
+@pytest.mark.parametrize("fuel", [0, -1])
+def test_subject_reduction_needs_positive_fuel(fuel):
+    p, env = load("unit2")
+    with pytest.raises(ValueError, match="fuel must be positive"):
+        check_subject_reduction(p, env, fuel)
+
+
 def test_corrupted_process_fails_before_running():
     p, env = load("neg-swap-inl")
     with pytest.raises(ProcessTypeError):
