@@ -58,13 +58,16 @@ def _verdict(n, ok, detail):
 def _drv_fixtures():
     for path in sorted(glob.glob(os.path.join(LOGIC, "*.drv"))):
         name = os.path.basename(path)[:-4]
-        yield name, parse_problem(open(path).read()).derivation
+        with open(path) as f:
+            text = f.read()
+        yield name, parse_problem(text).derivation
 
 
 def _proc_fixtures():
     for path in sorted(glob.glob(os.path.join(PROC, "*.pi"))):
         name = os.path.basename(path)[:-3]
-        pf = parse_problem(open(path).read())
+        with open(path) as f:
+            pf = parse_problem(f.read())
         yield name, pf.process, dict(pf.env)
 
 

@@ -66,7 +66,8 @@ def test_formula_precedence():
 
 def test_sequent_round_trip_corpus():
     for path in glob.glob(os.path.join(LOGIC, "*.seq")):
-        pf = parse_problem(open(path).read())
+        with open(path) as f:
+            pf = parse_problem(f.read())
         again = parse_problem(f"base {pf.base.size}\n{format_sequent(pf.sequent)}")
         assert again.sequent == pf.sequent
 
@@ -75,7 +76,8 @@ def test_sequent_round_trip_corpus():
     "path", sorted(glob.glob(os.path.join(LOGIC, "*.drv")))
 )
 def test_derivation_round_trip(path):
-    pf = parse_problem(open(path).read())
+    with open(path) as f:
+        pf = parse_problem(f.read())
     text = f"base {pf.base.size}\n{format_derivation(pf.derivation)}"
     again = parse_problem(text)
     assert again.derivation.concl == pf.derivation.concl
@@ -84,7 +86,8 @@ def test_derivation_round_trip(path):
 
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(PROC, "*.pi"))))
 def test_process_round_trip(path):
-    pf = parse_problem(open(path).read())
+    with open(path) as f:
+        pf = parse_problem(f.read())
     text = format_process(pf.process)
     c = Cursor(tokenize(text))
     again = parse_process(c, pf.base)
@@ -390,7 +393,8 @@ def test_cli_matches_library(capsys):
     from lmrl.cutelim import prove_bounded
     from lmrl.derivation import Calculus
 
-    pf = parse_problem(open(os.path.join(LOGIC, "tensor-goal.seq")).read())
+    with open(os.path.join(LOGIC, "tensor-goal.seq")) as f:
+        pf = parse_problem(f.read())
     direct = prove_bounded(pf.sequent, Calculus.CONJ, 3)
     code, out = run(capsys, "prove", os.path.join(LOGIC, "tensor-goal.seq"), "--depth", "3")
     assert code == 0
