@@ -103,6 +103,11 @@ def positive_int(text: str) -> int:
     return n
 
 
+def role_base(text: str) -> rl.RoleBase:
+    """``omega`` or a count of at least two roles."""
+    return rl.OMEGA if text == "omega" else rl.finite_base(int(text))
+
+
 def _occ_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(s) for s in text.split(",") if s != "")
@@ -145,9 +150,8 @@ def cmd_prove(ns, out: Out) -> int:
 
 
 def cmd_eta(ns, out: Out) -> int:
-    base = rl.OMEGA if ns.base == "omega" else rl.finite_base(int(ns.base))
-    a = parse_formula_text(ns.formula, base)
-    parts = [parse_roleset_text(s, base) for s in ns.parts.split(";")]
+    a = parse_formula_text(ns.formula, ns.base)
+    parts = [parse_roleset_text(s, ns.base) for s in ns.parts.split(";")]
     return _derive(ns, out, eta_expand, eta_expand_disj, a, parts)
 
 
@@ -288,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witnesses", help="comma-separated extra witness terms")
 
     p = add("eta", cmd_eta, help="identity expansion of a formula")
-    p.add_argument("--base", required=True)
+    p.add_argument("--base", type=role_base, required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--parts", required=True, help="role sets separated by ';'")
     p.add_argument("--calc", choices=["conj", "disj"], default="conj")

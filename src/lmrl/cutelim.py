@@ -57,10 +57,8 @@ from .syntax import (
     IFormula,
     One,
     Sequent,
-    Tensor,
     Term,
     Var,
-    With,
     formula_key,
     fresh_name,
     size,
@@ -154,9 +152,16 @@ def _contract_chain(d: Derivation, pairs) -> tuple[Derivation, list[int]]:
 # cut for one sequent: erasing an empty-role occurrence
 
 
+def _occurrence(d: Derivation, occ: int) -> IFormula:
+    """Conclusion occurrence ``occ`` of ``d``, counted from 0."""
+    if not 0 <= occ < len(d.concl):
+        raise CutError(f"occurrence {occ} out of range 0..{len(d.concl) - 1}")
+    return d.concl[occ]
+
+
 def cut1(d: Derivation, occ: int) -> Derivation:
     """Remove an occurrence interpreted at the empty role set."""
-    item = d.concl[occ]
+    item = _occurrence(d, occ)
     if not item.roles.is_empty:
         raise CutError(f"occurrence {occ} has roles {item.roles}, not {{}}")
     return _erase(d, occ)
@@ -225,7 +230,7 @@ def _eta_rules(con: type[Formula]):
     return pos, before, None if before else negs[parts]
 
 
-_ETA = {con: _eta_rules(con) for con in (One, Tensor, With, Bang, Forall)}
+_ETA = {con: _eta_rules(con) for con in dict.fromkeys(c.connective for c in RULES.values()) if con}
 
 
 def _eta(a: Formula, parts: list[RoleSet]) -> tuple[Derivation, list[int]]:
@@ -237,6 +242,8 @@ def _eta(a: Formula, parts: list[RoleSet]) -> tuple[Derivation, list[int]]:
     n = len(parts)
     if isinstance(a, Atom):
         return DId(a, tuple(parts)), list(range(n))
+    if type(a) not in _ETA:
+        raise CutError(f"{a._tag} has no logic rule to expand")
     pos_rule, before, after = _ETA[type(a)]
     k = next((k for k, s in enumerate(parts) if a.r in s), None)
     if k is None:
@@ -292,7 +299,7 @@ class CutSpec:
         for d, occs in self.parts:
             if not occs:
                 raise CutError("every part needs at least one designated occurrence")
-            items = [d.concl[o] for o in occs]
+            items = [_occurrence(d, o) for o in occs]
             rs = items[0].roles
             for it in items:
                 if it.roles != rs or formula_key(it.body) != formula_key(items[0].body):
@@ -562,12 +569,11 @@ def cut2_spill(spec: CutSpec) -> Derivation:
 
 def cut2(d1: Derivation, occ1: int, d2: Derivation, occ2: int) -> Derivation:
     """(G1, [R]A; G2, [comp R]A) => (G1, G2)."""
-    rs1 = d1.concl[occ1].roles
-    rs2 = d2.concl[occ2].roles
+    item1, item2 = _occurrence(d1, occ1), _occurrence(d2, occ2)
+    rs1, rs2, cutf = item1.roles, item2.roles, item1.body
     if rs2 != rl.complement(rs1):
         raise CutError(f"role sets {rs1} and {rs2} are not complementary")
-    cutf = d1.concl[occ1].body
-    if formula_key(cutf) != formula_key(d2.concl[occ2].body):
+    if formula_key(cutf) != formula_key(item2.body):
         raise CutError("cut occurrences carry different formulas")
     e, _, _, sp = _spill(
         _Side(d1, frozenset((occ1,)), rs1),
@@ -605,7 +611,7 @@ def split(d: Derivation, occ: int, r1: RoleSet, r2: RoleSet) -> Derivation:
     """(G, [R1 + R2]A) => (G, [R1]A, [R2]A) for disjoint R1, R2."""
     if not rl.is_disjoint(r1, r2):
         raise CutError("splitting role sets overlap")
-    item = d.concl[occ]
+    item = _occurrence(d, occ)
     if item.roles != rl.union(r1, r2):
         raise CutError("occurrence roles are not the stated disjoint union")
     residue = rl.intersect(rl.complement(r1), rl.complement(r2))
@@ -720,7 +726,7 @@ def _step_rows(calc: Calculus) -> dict:
     set, the rules with premises named for the connective, in ``RULES``
     order: (rule, the term field it takes or None, the major's parts each
     premise adds)."""
-    rows: dict = {c: ([], []) for c in (One, Tensor, With, Bang, Forall)}
+    rows: dict = {c: ([], []) for c in _ETA}
     for rule, cls in RULES.items():
         conn = next((c for c in rows if rule.startswith(c.__name__.lower() + "-")), None)
         if conn is not None and cls.schema:

@@ -1,7 +1,7 @@
 """Tokenizer and recursive-descent parsers for the toolkit's text forms.
 
-GRAMMAR.md describes the grammar; process headers are read from the header
-table in printer.py, the same one that prints them.
+GRAMMAR.md describes the grammar; connective words and process headers are
+read from the tables in printer.py, the same ones that print them.
 """
 
 from __future__ import annotations
@@ -13,21 +13,17 @@ from . import roles as rl
 from .roles import RoleBase, RoleSet
 from .syntax import (
     Atom,
-    Bang,
-    Forall,
     Formula,
     Fun,
     IFormula,
     One,
     Sequent,
-    Tensor,
     Term,
     Var,
-    With,
 )
 from .derivation import RULES, DId, DOnePos, Derivation, MalformedDerivation, build_rule
-from .printer import PROCESS_HEADERS
-from .processes import Cut, Msg, Process
+from .printer import FORMULA_WORDS, PROCESS_HEADERS
+from .processes import Cut, Process
 
 
 class ParseError(Exception):
@@ -176,16 +172,29 @@ def _role_index(c: Cursor, base: RoleBase) -> int:
     return r
 
 
+# connective words: one with two subformulas is infix, every other prefix
+_INFIX = {w: cls for cls, w in FORMULA_WORDS.items() if len(cls.kids) == 2}
+_PREFIX = {w: cls for cls, w in FORMULA_WORDS.items() if len(cls.kids) != 2}
+
+
 def parse_formula(c: Cursor, base: RoleBase) -> Formula:
     left = _parse_prefix(c, base)
-    while c.at("*") or c.at("&"):
-        op = c.next().text
-        c.eat("[")
-        r = _role_index(c, base)
-        c.eat("]")
-        right = _parse_prefix(c, base)
-        left = Tensor(r, left, right) if op == "*" else With(r, left, right)
+    while c.peek().text in _INFIX:
+        cls = _INFIX[c.next().text]
+        left = cls(*_role_fields(c, base, cls), left, _parse_prefix(c, base))
     return left
+
+
+def _role_fields(c: Cursor, base: RoleBase, cls: type[Formula]) -> list:
+    """``[r]`` or ``[r,s]``: one role index per role field of ``cls``."""
+    c.eat("[")
+    roles = []
+    for f in cls._roles:
+        if roles:
+            c.eat(",")
+        roles.append(_role_index(c, base))
+    c.eat("]")
+    return roles
 
 
 def _parse_prefix(c: Cursor, base: RoleBase) -> Formula:
@@ -195,34 +204,17 @@ def _parse_prefix(c: Cursor, base: RoleBase) -> Formula:
         a = parse_formula(c, base)
         c.eat(")")
         return a
-    if c.at("!"):
-        c.eat("!")
-        c.eat("[")
-        r = _role_index(c, base)
-        c.eat("]")
-        return Bang(r, _parse_prefix(c, base))
-    if t.kind == "ident" and t.text == "one":
+    cls = _PREFIX.get(t.text)
+    if cls is not None:
         c.next()
-        c.eat("[")
-        r = _role_index(c, base)
-        c.eat("]")
-        return One(r)
-    if t.kind == "ident" and t.text == "msg":
-        c.next()
-        c.eat("[")
-        r = _role_index(c, base)
-        c.eat(",")
-        s = _role_index(c, base)
-        c.eat("]")
-        return Msg(r, s, _parse_prefix(c, base))
-    if t.kind == "ident" and t.text == "all":
-        c.next()
-        c.eat("[")
-        r = _role_index(c, base)
-        c.eat("]")
-        var = c.eat_kind("ident", "a bound variable").text
-        c.eat(".")
-        return Forall(r, var, parse_formula(c, base))
+        fields = _role_fields(c, base, cls)
+        if cls.binder is not None:
+            fields.append(c.eat_kind("ident", "a bound variable").text)
+            c.eat(".")
+            fields.append(parse_formula(c, base))
+        elif cls.kids:
+            fields.append(_parse_prefix(c, base))
+        return cls(*fields)
     if t.kind == "ident":
         # an atom reads as a term does: a name and its juxtaposed arguments
         head = parse_term(c)

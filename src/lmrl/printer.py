@@ -63,6 +63,12 @@ PROCESS_HEADERS = {
 }
 
 
+# The word of each connective, which the parser reads too.  One with two
+# subformulas is infix, ``A *[r] B``; any other prints before its roles, as
+# ``all[r] x. A`` with a binder, else as ``one[r]`` or ``msg[r,s] A``.
+FORMULA_WORDS = {Tensor: "*", With: "&", One: "one", Bang: "!", Msg: "msg", Forall: "all"}
+
+
 def format_term(t: Term) -> str:
     match t:
         case Var(name):
@@ -72,40 +78,24 @@ def format_term(t: Term) -> str:
     raise TypeError(t)
 
 
-def _atomic(a: Formula) -> bool:
-    return isinstance(a, (Atom, One, Bang, Msg))
-
-
 def format_formula(a: Formula) -> str:
-    match a:
-        case Atom(pred, args):
-            return pred if not args else f"{pred}({', '.join(format_term(t) for t in args)})"
-        case One(r):
-            return f"one[{r}]"
-        case Tensor(r, left, right):
-            return f"{_operand(left)} *[{r}] {_operand(right)}"
-        case With(r, left, right):
-            return f"{_operand(left)} &[{r}] {_operand(right)}"
-        case Bang(r, body):
-            return f"![{r}] {_prefix_body(body)}"
-        case Forall(r, var, body):
-            return f"all[{r}] {var}. {format_formula(body)}"
-        case Msg(r, s, body):
-            return f"msg[{r},{s}] {_prefix_body(body)}"
-    raise TypeError(a)
+    if isinstance(a, Atom):
+        return a.pred if not a.args else f"{a.pred}({', '.join(format_term(t) for t in a.args)})"
+    word = f"{FORMULA_WORDS[type(a)]}[{','.join(str(getattr(a, f)) for f in a._roles)}]"
+    kids = [getattr(a, f) for f in a.kids]
+    if len(kids) == 2:
+        return f"{_operand(kids[0])} {word} {_operand(kids[1])}"
+    if a.binder is not None:
+        return f"{word} {getattr(a, a.binder)}. {format_formula(kids[0])}"
+    if not kids:
+        return word
+    body = format_formula(kids[0])
+    return f"{word} {body}" if not kids[0].kids else f"{word} ({body})"
 
 
 def _operand(a: Formula) -> str:
     s = format_formula(a)
-    return s if _atomic(a) else f"({s})"
-
-
-def _prefix_body(a: Formula) -> str:
-    match a:
-        case Atom() | One():
-            return format_formula(a)
-        case _:
-            return f"({format_formula(a)})"
+    return s if len(a.kids) < 2 and a.binder is None else f"({s})"
 
 
 def format_iformula(f: IFormula) -> str:

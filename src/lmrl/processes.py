@@ -41,29 +41,22 @@ class Msg(Formula):
     r: int
     s: int
     body: Formula
+    kids = ("body",)
 
     def __post_init__(self):
         if self.r == self.s:
             raise ValueError("transfer endpoints must be distinct roles")
 
-    def _key(self, env):
-        return ("msg", self.r, self.s, self.body._key(env))
-
 
 def is_proc_type(a: Formula) -> bool:
-    """Session types extended with the transfer constructor, decided once per
+    """Session types extended with the transfer constructor: a session
+    connective whose subformulas are all session types, decided once per
     formula node and cached on it."""
     cached = getattr(a, "_cached_proc_type", None)
     if cached is None:
-        match a:
-            case One():
-                cached = True
-            case Tensor(_, left, right) | With(_, left, right):
-                cached = is_proc_type(left) and is_proc_type(right)
-            case Bang(_, body) | Msg(_, _, body):
-                cached = is_proc_type(body)
-            case _:
-                cached = False
+        cached = isinstance(a, (One, Tensor, With, Bang, Msg))
+        for f in a.kids:
+            cached = cached and is_proc_type(getattr(a, f))
         object.__setattr__(a, "_cached_proc_type", cached)
     return cached
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .roles import RoleSet
 
@@ -81,12 +81,33 @@ def subst_term(t: Term, x: str, s: Term) -> Term:
 
 
 class Formula:
-    """Base class; equality on subclasses is alpha-equivalence."""
+    """Base class; equality on subclasses is alpha-equivalence.
+
+    A connective declares its shape, which the walks below read: ``kids``
+    names its subformula fields in order, ``binder`` the field holding the
+    variable bound in them, and every other field is a role.
+    """
 
     __slots__ = ()
+    kids: tuple[str, ...] = ()
+    binder: str | None = None
+
+    def __init_subclass__(cls):
+        cls._tag = cls.__name__.lower()
+        cls._roles = tuple(f for f in cls.__annotations__ if f not in cls.kids and f != cls.binder)
 
     def _key(self, env):
-        raise NotImplementedError
+        # the tag, the roles, then each subformula's key: its cached one
+        # outside every binder; a binder numbers its variable in ``env``
+        key = [self._tag]
+        for f in self._roles:
+            key.append(getattr(self, f))
+        if self.binder is not None:
+            env = {**env, getattr(self, self.binder): len(env)}
+        for f in self.kids:
+            kid = getattr(self, f)
+            key.append(kid._key(env) if env else formula_key(kid))
+        return tuple(key)
 
     def __eq__(self, other):
         if self is other:
@@ -123,9 +144,7 @@ class Tensor(Formula):
     r: int
     left: Formula
     right: Formula
-
-    def _key(self, env):
-        return ("tensor", self.r, self.left._key(env), self.right._key(env))
+    kids = ("left", "right")
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,18 +152,14 @@ class With(Formula):
     r: int
     left: Formula
     right: Formula
-
-    def _key(self, env):
-        return ("with", self.r, self.left._key(env), self.right._key(env))
+    kids = ("left", "right")
 
 
 @dataclass(frozen=True, eq=False)
 class Bang(Formula):
     r: int
     body: Formula
-
-    def _key(self, env):
-        return ("bang", self.r, self.body._key(env))
+    kids = ("body",)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,19 +167,13 @@ class Forall(Formula):
     r: int
     var: str
     body: Formula
-
-    def _key(self, env):
-        inner = dict(env)
-        inner[self.var] = len(env)
-        return ("forall", self.r, self.body._key(inner))
+    kids = ("body",)
+    binder = "var"
 
 
 @dataclass(frozen=True, eq=False)
 class One(Formula):
     r: int
-
-    def _key(self, env):
-        return ("one", self.r)
 
 
 def formula_key(a: Formula):
@@ -178,82 +187,49 @@ def formula_key(a: Formula):
 
 def size(a: Formula) -> int:
     """Number of connectives (atoms and units count zero)."""
-    match a:
-        case Atom() | One():
-            return 0
-        case Tensor(_, left, right) | With(_, left, right):
-            return 1 + size(left) + size(right)
-        case Bang(_, body) | Forall(_, _, body):
-            return 1 + size(body)
-    raise TypeError(a)
+    n = 1 if a.kids else 0
+    for f in a.kids:
+        n += size(getattr(a, f))
+    return n
 
 
 def free_vars(a: Formula) -> frozenset[str]:
-    match a:
-        case Atom(_, args):
-            return frozenset().union(*(term_vars(t) for t in args)) if args else frozenset()
-        case Tensor(_, left, right) | With(_, left, right):
-            return free_vars(left) | free_vars(right)
-        case Bang(_, body):
-            return free_vars(body)
-        case Forall(_, var, body):
-            return free_vars(body) - {var}
-        case One():
-            return frozenset()
-    raise TypeError(a)
+    if isinstance(a, Atom):
+        return frozenset().union(*(term_vars(t) for t in a.args)) if a.args else frozenset()
+    out = frozenset().union(*(free_vars(getattr(a, f)) for f in a.kids))
+    return out - {getattr(a, a.binder)} if a.binder is not None else out
 
 
 def subterms_of(a: Formula) -> set[Term]:
     """All terms occurring in atom arguments (witness-pool harvesting)."""
     out: set[Term] = set()
-
-    def walk_term(t: Term):
-        out.add(t)
-        if isinstance(t, Fun):
-            for s in t.args:
-                walk_term(s)
-
-    def walk(f: Formula):
-        match f:
-            case Atom(_, args):
-                for t in args:
-                    walk_term(t)
-            case Tensor(_, l, r) | With(_, l, r):
-                walk(l)
-                walk(r)
-            case Bang(_, body) | Forall(_, _, body):
-                walk(body)
-            case One():
-                pass
-
-    walk(a)
+    todo: list = [a]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Atom):
+            todo += x.args
+        elif isinstance(x, Formula):
+            todo += [getattr(x, f) for f in x.kids]
+        else:
+            out.add(x)
+            if isinstance(x, Fun):
+                todo += x.args
     return out
 
 
 def subst_formula(a: Formula, x: str, t: Term) -> Formula:
     """Capture-avoiding substitution of ``t`` for free ``x``."""
-    match a:
-        case Atom(pred, args):
-            return Atom(pred, tuple(subst_term(arg, x, t) for arg in args))
-        case Tensor(r, left, right):
-            return Tensor(r, subst_formula(left, x, t), subst_formula(right, x, t))
-        case With(r, left, right):
-            return With(r, subst_formula(left, x, t), subst_formula(right, x, t))
-        case Bang(r, body):
-            return Bang(r, subst_formula(body, x, t))
-        case One():
+    if isinstance(a, Atom):
+        return Atom(a.pred, tuple(subst_term(arg, x, t) for arg in a.args))
+    if a.binder is not None:
+        var = getattr(a, a.binder)
+        if var == x or x not in free_vars(a):
             return a
-        case Forall(r, var, body):
-            if var == x:
-                return a
-            if x not in free_vars(body):
-                return a
-            if var in term_vars(t):
-                renamed = fresh_name(var)
-                body = subst_formula(body, var, Var(renamed))
-                var = renamed
-            return Forall(r, var, subst_formula(body, x, t))
-    raise TypeError(a)
+        if var in term_vars(t):  # rename the binder first, so ``t`` is not captured
+            y = fresh_name(var)
+            renamed = {f: subst_formula(getattr(a, f), var, Var(y)) for f in a.kids}
+            a = replace(a, **{a.binder: y}, **renamed)
+    return replace(a, **{f: subst_formula(getattr(a, f), x, t) for f in a.kids})
 
 
 # ---------------------------------------------------------------------------

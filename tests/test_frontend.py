@@ -8,6 +8,7 @@ import pytest
 import lmrl
 from lmrl import roles as rl
 from lmrl.cli import main
+from lmrl.derivation import check
 from lmrl.parser import (
     Cursor,
     DerivationFormError,
@@ -300,6 +301,72 @@ def test_cli_cutn_and_split(capsys, tmp_path):
     assert code == 0
     code, out = run(capsys, "split", f["a"], "--occ", "0", "--into", "{0};{1}")
     assert code == 0
+
+
+# each derivation checks, and each carries a msg formula, which no logic rule
+# introduces but which rides in weakenings and in a with's other branch
+MSG_DERIVATIONS = {
+    "pos": """(rule bang-pos :major 1 :concl |- [{1}] ![0] a, [{0}] ![0] (a &[1] msg[0,1] a)
+  (rule with-neg-l :major 1 :concl |- [{1}] ![0] a, [{0}] a &[1] msg[0,1] a
+    (rule bang-neg-derelict :major 1 :concl |- [{0}] a, [{1}] ![0] a
+      (rule id :concl |- [{0}] a, [{1}] a))))""",
+    "neg": """(rule bang-neg-weaken :major 2
+  :concl |- [{0}] a, [{1}] a, [{1}] ![0] (a &[1] msg[0,1] a)
+  (rule id :concl |- [{0}] a, [{1}] a))""",
+    "forall-neg": """(rule forall-neg :major 1 :witness c
+  :concl |- [{0}] a, [{1}] all[0] x. (a &[0] (msg[0,1] p(x)))
+  (rule with-neg-l :major 1 :concl |- [{0}] a, [{1}] a &[0] (msg[0,1] p(c))
+    (rule id :concl |- [{0}] a, [{1}] a)))""",
+    "forall-pos": """(rule forall-pos :major 2 :eigen x
+  :concl |- [{1}] all[0] z. p(z), [{0}] ![1] (msg[0,1] a), [{0}] all[0] x. p(x)
+  (rule bang-neg-weaken :major 2 :concl |- [{0}] p(x), [{1}] all[0] z. p(z), [{0}] ![1] (msg[0,1] a)
+    (rule forall-neg :major 1 :witness x :concl |- [{0}] p(x), [{1}] all[0] z. p(z)
+      (rule id :concl |- [{0}] p(x), [{1}] p(x)))))""",
+}
+
+
+def test_cli_msg_formulas_check_and_cut(capsys, tmp_path):
+    paths = {}
+    for name, text in MSG_DERIVATIONS.items():
+        paths[name] = tmp_path / f"{name}.drv"
+        paths[name].write_text(f"base 2\n{text}\n")
+        code, out = run(capsys, "check", str(paths[name]))
+        assert (code, out.splitlines()[0]) == (0, "status: ok"), out
+    pos, neg = str(paths["pos"]), str(paths["neg"])
+    code, out = run(capsys, "cut2", pos, neg, "--occ1", "1", "--occ2", "2")
+    assert code == 0 and out.startswith("status: ok\n"), out
+    d = parse_problem("base 2\n" + out.split("\n", 1)[1]).derivation
+    assert check(d) == parse_problem("base 2 |- [{1}] ![0] a, [{0}] a, [{1}] a").sequent
+
+
+def test_cli_eta_of_msg_has_no_rule(capsys):
+    for formula in ("msg[0,1] a", "a &[0] msg[0,1] a"):
+        code, out = run(capsys, "eta", "--base", "2", "--formula", formula, "--parts", "{0};{1}")
+        assert code == 1 and "reason: msg has no logic rule to expand" in out
+
+
+@pytest.mark.parametrize(
+    "argv, occ",
+    [
+        ("cut2 D D --occ1 5 --occ2 0", 5),
+        ("cut2 D D --occ1 -1 --occ2 0", -1),
+        ("cutspill D D --occs1 7 --occs2 0", 7),
+        ("cutn D D --occs 0:9", 9),
+        ("split D --occ 9 --into {0};{1}", 9),
+    ],
+)
+def test_cli_occurrence_out_of_range(argv, occ, capsys):
+    path = os.path.join(LOGIC, "id-pos.drv")
+    code, out = run(capsys, *(path if w == "D" else w for w in argv.split()))
+    assert code == 1 and f"reason: occurrence {occ} out of range 0..2" in out
+
+
+@pytest.mark.parametrize("base", ["foo", "1"])
+def test_cli_base_is_a_usage_error(base, capsys):
+    assert main(["eta", "--base", base, "--formula", "a", "--parts", "{0};{1}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --base: invalid role_base value: {base!r}" in captured.err
 
 
 def test_cli_dualize_and_cll2(capsys):

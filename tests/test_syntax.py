@@ -1,6 +1,7 @@
 from hypothesis import given, strategies as st
 
 from lmrl import roles as rl
+from lmrl.processes import Msg
 from lmrl.syntax import (
     Atom,
     Bang,
@@ -80,7 +81,7 @@ def formulas(draw, depth=3):
             args = tuple(draw(st.lists(terms, max_size=2)))
             return Atom(draw(st.sampled_from(["a", "b", "p"])), args)
         return One(draw(st.integers(0, 1)))
-    kind = draw(st.integers(0, 3))
+    kind = draw(st.integers(0, 4))
     r = draw(st.integers(0, 1))
     if kind == 0:
         return Tensor(r, draw(formulas(depth - 1)), draw(formulas(depth - 1)))
@@ -88,6 +89,8 @@ def formulas(draw, depth=3):
         return With(r, draw(formulas(depth - 1)), draw(formulas(depth - 1)))
     if kind == 2:
         return Bang(r, draw(formulas(depth - 1)))
+    if kind == 3:
+        return Msg(r, 1 - r, draw(formulas(depth - 1)))
     return Forall(r, draw(names), draw(formulas(depth - 1)))
 
 
