@@ -189,7 +189,7 @@ def _role_fields(c: Cursor, base: RoleBase, cls: type[Formula]) -> list:
     """``[r]`` or ``[r,s]``: one role index per role field of ``cls``."""
     c.eat("[")
     roles = []
-    for f in cls._roles:
+    for _ in cls._roles:
         if roles:
             c.eat(",")
         roles.append(_role_index(c, base))
